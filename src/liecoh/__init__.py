@@ -8,10 +8,11 @@ over the Gaussian rationals, entirely in exact arithmetic.  Quick tour:
     (1, 4, 5, 5, 4, 1)
 
 Modules: ``lie_algebra`` (structure constants and families),
-``exterior`` (forms, wedge, contraction), ``cochain`` (coboundaries,
-ranks, Betti profiles), ``quadratic`` (invariant forms and the
-super-Poisson bracket), ``closed_forms`` (combinatorial formulas to
-cross-check the engine), ``cli`` (the ``liecoh`` command).
+``exterior`` (forms, wedge, contraction), ``linalg`` (the exact
+elimination kernel), ``cochain`` (coboundaries, ranks, Betti profiles),
+``quadratic`` (invariant forms and the super-Poisson bracket),
+``closed_forms`` (combinatorial formulas to cross-check the engine),
+``cli`` (the ``liecoh`` command).
 """
 
 from . import closed_forms, cochain, exterior, lie_algebra, linalg, quadratic, scalars

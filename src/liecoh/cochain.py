@@ -116,15 +116,6 @@ class CoboundaryMatrix:
             rows[r][c] = value
         return rows
 
-    def dense(self) -> list[list[Scalar]]:
-        out = [[ZERO] * self.cols for _ in range(self.rows)]
-        for (r, c), value in self.entries.items():
-            out[r][c] = value
-        return out
-
-    def column(self, c: int) -> list[Scalar]:
-        return [self.entries.get((r, c), ZERO) for r in range(self.rows)]
-
     def to_coordinate_text(self) -> str:
         """Coordinate-list export: header ``% k rows cols`` then
         ``row col value`` lines with compact scalars, sorted by row then
@@ -248,9 +239,11 @@ def cocycle_basis(algebra: LieAlgebra, k: int) -> list[ExteriorForm]:
     if not (0 <= k <= n):
         raise DegreeOutOfRange(f"degree {k} outside 0..{n}")
     matrix = coboundary_matrix(algebra, k)
-    vectors = linalg.kernel_basis(matrix.dense(), matrix.cols)
     monomials = basis(n, k)
-    return [_form_from_vector(n, k, monomials, vec) for vec in vectors]
+    return [
+        _form_from_vector(n, k, monomials, vec)
+        for vec in linalg.kernel_basis(matrix.sparse_rows(), matrix.cols)
+    ]
 
 
 def coboundary_basis(algebra: LieAlgebra, k: int) -> list[ExteriorForm]:
@@ -266,32 +259,39 @@ def coboundary_basis(algebra: LieAlgebra, k: int) -> list[ExteriorForm]:
     if k == 0:
         return []
     matrix = coboundary_matrix(algebra, k - 1)
-    _, pivots = linalg.rref(matrix.dense())
+    _, pivots = linalg.rref(matrix.sparse_rows(), matrix.cols)
+    columns = _columns(matrix)
     monomials = basis(n, k)
-    return [
-        _form_from_vector(n, k, monomials, matrix.column(c)) for c in pivots
-    ]
+    return [_form_from_vector(n, k, monomials, columns[c]) for c in pivots]
 
 
 def cohomology_representatives(algebra: LieAlgebra, k: int) -> list[ExteriorForm]:
     """Closed forms whose classes form a basis of degree-k cohomology.
 
-    Extends a basis of the exact forms by cocycle basis vectors that
-    grow the span; the added vectors represent independent classes and
-    there are exactly b_k of them.
+    Extends the span of the exact forms (the columns of d in degree
+    k-1) by cocycle basis vectors that grow it; the added vectors
+    represent independent classes and there are exactly b_k of them.
     """
     n = algebra.dim
     monomials = basis(n, k)
     span = linalg.SpanBuilder(len(monomials))
-    for form in coboundary_basis(algebra, k):
-        span.add(form.coordinates(monomials))
-    representatives = []
-    for form in cocycle_basis(algebra, k):
-        if span.add(form.coordinates(monomials)):
-            representatives.append(form)
-    return representatives
+    if k > 0:
+        for column in _columns(coboundary_matrix(algebra, k - 1)):
+            span.add(column)
+    matrix = coboundary_matrix(algebra, k)
+    return [
+        _form_from_vector(n, k, monomials, vec)
+        for vec in linalg.kernel_basis(matrix.sparse_rows(), matrix.cols)
+        if span.add(vec)
+    ]
+
+
+def _columns(matrix: CoboundaryMatrix) -> list[dict[int, Scalar]]:
+    columns: list[dict[int, Scalar]] = [{} for _ in range(matrix.cols)]
+    for (r, c), value in matrix.entries.items():
+        columns[c][r] = value
+    return columns
 
 
 def _form_from_vector(n, k, monomials, vector) -> ExteriorForm:
-    terms = {key: value for key, value in zip(monomials, vector) if value}
-    return ExteriorForm(n, k, terms)
+    return ExteriorForm(n, k, {monomials[i]: value for i, value in vector.items()})

@@ -114,10 +114,6 @@ class ExteriorForm:
         value = self.terms.get(key, ZERO)
         return value if sign > 0 else -value
 
-    def coordinates(self, monomials) -> list[Scalar]:
-        """Coefficient vector with respect to an explicit monomial list."""
-        return [self.terms.get(key, ZERO) for key in monomials]
-
     def _require_same_shape(self, other: "ExteriorForm") -> None:
         if self.dim != other.dim:
             raise DimensionMismatch(

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from . import linalg
 from .errors import (
+    BadInput,
     DimensionMismatch,
     DuplicatePair,
     IndexOutOfRange,
@@ -315,26 +316,41 @@ def algebra_to_json(algebra: LieAlgebra) -> dict:
     return data
 
 
+def _json_int(value) -> bool:
+    # JSON true and false arrive as bool, which Python counts as int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def algebra_from_json(data: dict) -> LieAlgebra:
     """Read an algebra from the JSON schema; validates like any constructor."""
     if not isinstance(data, dict) or "dim" not in data:
         raise DimensionMismatch("algebra JSON must be an object with a 'dim' key")
     dim = data["dim"]
-    if not isinstance(dim, int):
+    if not _json_int(dim):
         raise DimensionMismatch(f"'dim' must be an integer, got {dim!r}")
+    brackets = data.get("brackets", [])
+    if not isinstance(brackets, list):
+        raise BadInput(f"'brackets' must be a list, got {type(brackets).__name__}")
     table: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for entry in data.get("brackets", []):
+    for entry in brackets:
+        if not isinstance(entry, dict) or "i" not in entry or "j" not in entry:
+            raise BadInput(f"bracket entry {entry!r} needs keys 'i' and 'j'")
         i, j = entry["i"], entry["j"]
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < dim):
+        if not (_json_int(i) and _json_int(j) and 0 <= i < j < dim):
             raise IndexOutOfRange(f"bracket pair ({i!r}, {j!r}) needs 0 <= i < j < {dim}")
         if (i, j) in table:
             raise DuplicatePair(f"bracket pair ({i}, {j}) supplied twice")
+        coeffs = entry.get("coeffs", {})
+        if not isinstance(coeffs, dict):
+            raise BadInput(f"'coeffs' of bracket pair ({i}, {j}) must be an object")
         vector = {}
-        for key, value in entry.get("coeffs", {}).items():
+        for key, value in coeffs.items():
             l = int(key)
             if not (0 <= l < dim):
                 raise IndexOutOfRange(f"coefficient index {l} outside 0..{dim - 1}")
             vector[l] = scalar_from_json(value)
         table[(i, j)] = vector
     labels = data.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise BadInput(f"'labels' must be a list, got {labels!r}")
     return LieAlgebra(dim, table, labels=labels)

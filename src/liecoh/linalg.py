@@ -1,256 +1,238 @@
-"""Exact linear algebra over the Gaussian rationals.
+"""Exact linear algebra over the Gaussian rationals, on one kernel.
 
-Two arithmetic regimes, both exact:
+Rows are sparse ``{column: Scalar}`` dicts at the interface and
+Gaussian-integer rows ``{column: (re, im)}`` inside.  A row comes in
+scaled by a positive integer that clears its denominators, with the
+Gaussian-integer gcd of its entries divided out; it goes out divided
+by its pivot entry.
+Scalar arithmetic happens only in those two conversions.
 
-* ``rank_sparse`` clears denominators row by row and then runs
-  fraction-free elimination on Gaussian-integer rows: a surviving row is
-  combined with the pivot row by cross-multiplication and its integer
-  content is divided out, so the loop never touches rational arithmetic.
-  Pivots are always the first nonzero entry scanning columns left to
-  right and rows top to bottom, which makes every run deterministic.
-* The dense helpers (``rref``, ``kernel_basis``, ``inverse``, ``det``,
-  ``SpanBuilder``) do Gauss-Jordan over Scalar directly.  They are used
-  on the small matrices that need actual vectors back, not just a rank.
+In between, ``_reduce`` is the only code that combines two rows.  It
+reduces a row left-looking against pivot rows keyed by their leading
+column, fraction-free: the row is cross-multiplied with a pivot row so
+that the pivot column cancels, and its content is divided out again.
+Everything else is built from it:
+
+* ``rank_sparse`` and ``SpanBuilder`` keep a row when something
+  survives the reduction, under a pivot key that is its leading column;
+* ``rref`` reduces every pivot row once more against the pivot rows to
+  its right, which gives the unique reduced row echelon form;
+* ``kernel_basis`` and ``inverse`` read their vectors off ``rref``.
+
+Because the reduced echelon form is unique, every vector these
+functions return depends on the matrix alone, not on row order.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
 from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
     "rank_sparse",
-    "rank_dense",
     "rref",
     "kernel_basis",
     "inverse",
-    "det",
     "SpanBuilder",
 ]
 
 
-def _int_row(row: dict[int, Scalar]) -> dict[int, tuple[int, int]]:
-    """Scale one sparse row by a positive integer to Gaussian-integer entries."""
-    if not row:
-        return {}
+def _int_row(row, ncols: int) -> dict[int, tuple[int, int]]:
+    """Scale one sparse Scalar row to primitive Gaussian-integer entries;
+    ValueError for a column outside 0..ncols-1."""
+    values = {}
     scale = 1
-    for value in row.values():
-        for part in (value.re, value.im):
-            d = part.denominator
-            scale = scale // gcd(scale, d) * d
-    out = {}
     for col, value in row.items():
-        a = int(value.re * scale)
-        b = int(value.im * scale)
-        if a or b:
-            out[col] = (a, b)
+        if not 0 <= col < ncols:
+            raise ValueError(f"column {col} outside 0..{ncols - 1}")
+        value = Scalar.coerce(value)
+        if value:
+            values[col] = value
+            for d in (value.re.denominator, value.im.denominator):
+                scale = scale // gcd(scale, d) * d
+    out = {
+        col: (
+            value.re.numerator * (scale // value.re.denominator),
+            value.im.numerator * (scale // value.im.denominator),
+        )
+        for col, value in values.items()
+    }
     return _strip_content(out)
 
 
+def _gcd_gaussian(xa: int, xb: int, ya: int, yb: int) -> tuple[int, int]:
+    """A greatest common divisor of xa+xb*i and ya+yb*i, up to a unit."""
+    while ya or yb:
+        # remainder of x / y = x * conj(y) / norm(y), rounded to nearest
+        norm = ya * ya + yb * yb
+        qa = (2 * (xa * ya + xb * yb) + norm) // (2 * norm)
+        qb = (2 * (xb * ya - xa * yb) + norm) // (2 * norm)
+        xa, xb, ya, yb = ya, yb, xa - qa * ya + qb * yb, xb - qa * yb - qb * ya
+    return xa, xb
+
+
 def _strip_content(row: dict[int, tuple[int, int]]) -> dict[int, tuple[int, int]]:
+    """Divide a row by the Gaussian-integer gcd of its entries.
+
+    Without this the cross-multiplication in ``_reduce`` doubles the
+    coefficient size at every step on complex data; with it each row is
+    the primitive multiple of its direction, whose entries are bounded
+    by minors of the input.  The integer content goes first, since it is
+    the whole content of a real row and cheap to find.
+    """
     g = 0
+    real = True
     for a, b in row.values():
-        g = gcd(g, a)
-        g = gcd(g, b)
-        if g == 1:
-            return row
-    if g <= 1:
+        g = gcd(g, a, b)
+        if b:
+            real = False
+        if g == 1 and not real:
+            break
+    if g > 1:
+        row = {c: (a // g, b // g) for c, (a, b) in row.items()}
+    if real:
         return row
-    return {c: (a // g, b // g) for c, (a, b) in row.items()}
+    ga = gb = 0
+    for a, b in row.values():
+        ga, gb = _gcd_gaussian(a, b, ga, gb)
+        norm = ga * ga + gb * gb
+        if norm == 1:
+            return row
+    return {
+        c: ((a * ga + b * gb) // norm, (b * ga - a * gb) // norm)
+        for c, (a, b) in row.items()
+    }
+
+
+def _scalar_row(row: dict[int, tuple[int, int]], pivot: int) -> dict[int, Scalar]:
+    """Divide a Gaussian-integer row by its entry in the pivot column."""
+    pa, pb = row[pivot]
+    norm = pa * pa + pb * pb
+    return {
+        c: Scalar(Fraction(a * pa + b * pb, norm), Fraction(b * pa - a * pb, norm))
+        for c, (a, b) in row.items()
+    }
+
+
+def _reduce(row, pivots) -> dict[int, tuple[int, int]]:
+    """Eliminate from ``row`` every column that keys a pivot row.
+
+    Columns are taken left to right; a pivot row only adds entries to
+    the right of its key, so one pass suffices.  Returns the reduced
+    primitive row, which is empty when ``row`` lies in the span of
+    the pivot rows.
+    """
+    while True:
+        col = min((c for c in row if c in pivots), default=None)
+        if col is None:
+            return row
+        pivot_row = pivots[col]
+        pa, pb = pivot_row[col]
+        ra, rb = row[col]
+        # pivot * row - row[col] * pivot_row cancels the entry at col
+        combo = {}
+        for c, (a, b) in row.items():
+            if c != col:
+                combo[c] = (pa * a - pb * b, pa * b + pb * a)
+        for c, (a, b) in pivot_row.items():
+            if c == col:
+                continue
+            ua, ub = combo.get(c, (0, 0))
+            ua -= ra * a - rb * b
+            ub -= ra * b + rb * a
+            if ua or ub:
+                combo[c] = (ua, ub)
+            elif c in combo:
+                del combo[c]
+        row = _strip_content(combo)
+
+
+def _echelon(rows, ncols: int) -> dict[int, dict[int, tuple[int, int]]]:
+    """Pivot rows of a row echelon form of the matrix, keyed by leading column."""
+    pivots = {}
+    for row in filter(None, rows):
+        reduced = _reduce(_int_row(row, ncols), pivots)
+        if reduced:
+            pivots[min(reduced)] = reduced
+    return pivots
 
 
 def rank_sparse(rows, ncols: int) -> int:
     """Exact rank of a matrix given as sparse {column: Scalar} rows."""
-    live = [r for r in (_int_row(dict(row)) for row in rows) if r]
-    rank = 0
-    for col in range(ncols):
-        pivot_index = None
-        for idx, row in enumerate(live):
-            if col in row:
-                pivot_index = idx
-                break
-        if pivot_index is None:
-            continue
-        pivot_row = live.pop(pivot_index)
-        pa, pb = pivot_row[col]
-        rank += 1
-        if not live:
-            break
-        reduced = []
-        for row in live:
-            if col not in row:
-                reduced.append(row)
-                continue
-            ra, rb = row.pop(col)
-            combo = {}
-            for c, (a, b) in row.items():
-                combo[c] = (pa * a - pb * b, pa * b + pb * a)
-            for c, (a, b) in pivot_row.items():
-                if c == col:
-                    continue
-                ta = ra * a - rb * b
-                tb = ra * b + rb * a
-                ua, ub = combo.get(c, (0, 0))
-                ua -= ta
-                ub -= tb
-                if ua or ub:
-                    combo[c] = (ua, ub)
-                elif c in combo:
-                    del combo[c]
-            if combo:
-                reduced.append(_strip_content(combo))
-        live = reduced
-        if not live:
-            break
-    return rank
+    return len(_echelon(rows, ncols))
 
 
-def rank_dense(matrix) -> int:
-    rows = [
-        {j: v for j, v in enumerate(row) if v}
-        for row in matrix
-    ]
-    ncols = len(matrix[0]) if matrix else 0
-    return rank_sparse(rows, ncols)
+def rref(rows, ncols: int):
+    """Reduced row echelon form of sparse {column: Scalar} rows.
 
-
-def rref(matrix):
-    """Reduced row echelon form over Scalar.
-
-    Returns (rows, pivot_columns); the input is not modified.  Pivoting
-    follows the same deterministic first-nonzero rule as rank_sparse.
+    Returns (rows, pivot_columns): one sparse row per pivot column, in
+    increasing pivot order, with entry 1 at its pivot and 0 at every
+    other pivot column.  The input is not modified.
     """
-    rows = [[Scalar.coerce(v) for v in row] for row in matrix]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [inv * v for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    pivots = _echelon(rows, ncols)
+    # right to left, so each pivot row is reduced against rows that are
+    # already reduced and gains no entries in other pivot columns
+    for col in sorted(pivots, reverse=True):
+        pivots[col] = _reduce(pivots.pop(col), pivots)
+    order = sorted(pivots)
+    return [_scalar_row(pivots[col], col) for col in order], order
 
 
-def kernel_basis(matrix, ncols: int | None = None):
-    """Basis of the right kernel {v : M v = 0}, one vector per free column.
+def kernel_basis(rows, ncols: int) -> list[dict[int, Scalar]]:
+    """Basis of the right kernel {v : M v = 0} as sparse vectors.
 
-    Free columns are visited in increasing order and each basis vector
-    has a 1 in its free position, so the output is deterministic.
+    One vector per free column, in increasing order: it has entry 1 at
+    its free column, 0 at every other free column, and minus the
+    reduced row entries at the pivot columns.
     """
-    if ncols is None:
-        ncols = len(matrix[0]) if matrix else 0
-    rows, pivots = rref(matrix)
+    reduced, pivots = rref(rows, ncols)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [ZERO] * ncols
-        vec[f] = ONE
-        for row_index, pc in enumerate(pivots):
-            vec[pc] = -rows[row_index][f]
-        basis.append(vec)
-    return basis
+    vectors = {f: {f: ONE} for f in range(ncols) if f not in pivot_set}
+    for row, pivot in zip(reduced, pivots):
+        for c, value in row.items():
+            if c != pivot:
+                vectors[c][pivot] = -value
+    return list(vectors.values())
 
 
 def inverse(matrix):
     """Exact inverse of a square Scalar matrix; ValueError if singular."""
     n = len(matrix)
-    aug = [
-        [Scalar.coerce(v) for v in row] + [ONE if i == j else ZERO for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    rows, pivots = rref(aug)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix is not square")
+    augmented = [{**dict(enumerate(row)), n + i: ONE} for i, row in enumerate(matrix)]
+    reduced, pivots = rref(augmented, 2 * n)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in rows[:n]]
-
-
-def det(matrix) -> Scalar:
-    """Exact determinant via forward elimination over Scalar."""
-    n = len(matrix)
-    rows = [[Scalar.coerce(v) for v in row] for row in matrix]
-    sign = 1
-    result = ONE
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            sign = -sign
-        pivot = rows[c][c]
-        result = result * pivot
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                factor = rows[i][c] / pivot
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[c])]
-    return result if sign > 0 else -result
+    return [[row.get(n + j, ZERO) for j in range(n)] for row in reduced]
 
 
 class SpanBuilder:
-    """Incrementally maintained row space in reduced echelon form.
+    """Incrementally grown row space of sparse {column: Scalar} rows.
 
-    add() reduces a vector against the rows collected so far and keeps
-    it when something survives; contains() tests membership the same
-    way.  Used for rank-augmentation arguments: extend a spanning set
-    one vector at a time and see which vectors grow the span.
+    add() reduces a row against the rows kept so far and keeps it when
+    something survives; contains() tests membership the same way.  Used
+    for rank-augmentation arguments: extend a spanning set one row at a
+    time and see which rows grow the span.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self._rows: list[tuple[int, list[Scalar]]] = []
+        self._pivots: dict[int, dict[int, tuple[int, int]]] = {}
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self._pivots)
 
-    def _reduce(self, vector):
-        vec = [Scalar.coerce(v) for v in vector]
-        if len(vec) != self.ncols:
-            raise ValueError("vector length does not match span dimension")
-        for pivot_col, row in self._rows:
-            factor = vec[pivot_col]
-            if factor:
-                vec = [a - factor * b for a, b in zip(vec, row)]
-        return vec
-
-    def add(self, vector) -> bool:
-        """Add a vector; True if it enlarged the span."""
-        vec = self._reduce(vector)
-        pivot_col = next((c for c, v in enumerate(vec) if v), None)
-        if pivot_col is None:
+    def add(self, row) -> bool:
+        """Add a row; True if it enlarged the span."""
+        reduced = _reduce(_int_row(row, self.ncols), self._pivots)
+        if not reduced:
             return False
-        inv = ONE / vec[pivot_col]
-        vec = [inv * v for v in vec]
-        for i, (pc, row) in enumerate(self._rows):
-            factor = row[pivot_col]
-            if factor:
-                self._rows[i] = (pc, [a - factor * b for a, b in zip(row, vec)])
-        self._rows.append((pivot_col, vec))
-        self._rows.sort(key=lambda item: item[0])
+        self._pivots[min(reduced)] = reduced
         return True
 
-    def contains(self, vector) -> bool:
-        return not any(self._reduce(vector))
+    def contains(self, row) -> bool:
+        return not _reduce(_int_row(row, self.ncols), self._pivots)

@@ -32,7 +32,6 @@ from .scalars import ZERO, Scalar
 __all__ = [
     "QuadraticStructure",
     "validate",
-    "sharp_basis",
     "associated_three_form",
     "super_poisson",
     "coboundary_via_poisson",
@@ -82,8 +81,10 @@ def validate(algebra: LieAlgebra, form) -> QuadraticStructure:
                 raise NotSymmetric(
                     f"form[{i}][{j}] = {matrix[i][j]} but form[{j}][{i}] = {matrix[j][i]}"
                 )
-    if not linalg.det(matrix):
-        raise Degenerate("form matrix has determinant zero")
+    try:
+        sharp = tuple(tuple(row) for row in linalg.inverse(matrix))
+    except ValueError:
+        raise Degenerate("form matrix has determinant zero") from None
     for j in range(n):
         for k in range(j + 1, n):
             vector_jk = algebra.brackets.get((j, k), {})
@@ -97,18 +98,7 @@ def validate(algebra: LieAlgebra, form) -> QuadraticStructure:
                     right = right + matrix[i][l] * c
                 if left != right:
                     raise NotInvariant((i, j, k), left, right)
-    sharp = tuple(tuple(row) for row in linalg.inverse(matrix))
     return QuadraticStructure(algebra, matrix, sharp)
-
-
-def sharp_basis(structure: QuadraticStructure) -> list[list[Scalar]]:
-    """The metric-dual basis: vectors Y_i with B(Y_i, .) = e_i*.
-
-    Since B is symmetric these are the columns of the inverse form
-    matrix.
-    """
-    n = structure.algebra.dim
-    return [[structure.sharp[l][i] for l in range(n)] for i in range(n)]
 
 
 def associated_three_form(structure: QuadraticStructure) -> ExteriorForm:

@@ -79,6 +79,12 @@ def random_form(rng, dim, degree, complex_rate=0.25):
     return ExteriorForm(dim, degree, terms)
 
 
+def span_row(form, monomials):
+    """A form as a sparse {position: coefficient} row over an explicit
+    monomial list, the row shape SpanBuilder takes."""
+    return {monomials.index(key): value for key, value in form.terms.items()}
+
+
 def matmul(a, b):
     n, m, p = len(a), len(b), len(b[0])
     return [

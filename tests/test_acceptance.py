@@ -34,7 +34,7 @@ from liecoh.linalg import SpanBuilder
 from liecoh.quadratic import coboundary_via_poisson
 from liecoh.scalars import Scalar
 
-from helpers import random_algebra, random_form
+from helpers import random_algebra, random_form, span_row
 
 SEED = 20260821
 
@@ -193,15 +193,15 @@ def test_criterion_08_closed_and_exact_two_form_structure():
             assert len(exact) == 2 * n + 1
             contraction_span = SpanBuilder(len(monomials))
             for index in range(dim):
-                contraction_span.add(contract_basis(three, index).coordinates(monomials))
+                contraction_span.add(span_row(contract_basis(three, index), monomials))
             assert contraction_span.rank == 2 * n + 1
             exact_span = SpanBuilder(len(monomials))
             for w in exact:
-                exact_span.add(w.coordinates(monomials))
-                assert contraction_span.contains(w.coordinates(monomials))
+                exact_span.add(span_row(w, monomials))
+                assert contraction_span.contains(span_row(w, monomials))
             for index in range(dim):
                 assert exact_span.contains(
-                    contract_basis(three, index).coordinates(monomials)
+                    span_row(contract_basis(three, index), monomials)
                 )
 
             _, beta, alphas, betas = _diamond_duals(n)
@@ -220,14 +220,14 @@ def test_criterion_08_closed_and_exact_two_form_structure():
                         candidates.append(wedge(alphas[i], betas[j]))
             candidate_span = SpanBuilder(len(monomials))
             for w in candidates:
-                candidate_span.add(w.coordinates(monomials))
+                candidate_span.add(span_row(w, monomials))
             closed = cocycle_basis(algebra, 2)
             closed_span = SpanBuilder(len(monomials))
             for w in closed:
-                closed_span.add(w.coordinates(monomials))
-                assert candidate_span.contains(w.coordinates(monomials))
+                closed_span.add(span_row(w, monomials))
+                assert candidate_span.contains(span_row(w, monomials))
             for w in candidates:
-                assert closed_span.contains(w.coordinates(monomials))
+                assert closed_span.contains(span_row(w, monomials))
             assert candidate_span.rank == closed_span.rank == len(closed)
 
 

@@ -300,3 +300,21 @@ def test_heisenberg_ext_family_bounds(capsys):
         capsys, "profile", "--family", "heisenberg-ext", "--m", "1", "--n", "5"
     )
     assert code == 0 and "profile: 1 4 7 7 4 1" in out
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"dim": 2, "brackets": [{"j": 1, "coeffs": {"0": "1"}}]},
+        {"dim": 2, "brackets": {"0": {"1": "1"}}},
+        {"dim": 2, "labels": 5},
+        {"dim": True},
+    ],
+    ids=["bracket-without-i", "brackets-object", "labels-number", "dim-true"],
+)
+def test_malformed_algebra_json_is_bad_input(capsys, tmp_path, doc):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "betti", "--input", str(path), "--degree", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err

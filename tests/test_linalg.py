@@ -1,88 +1,157 @@
+"""Exact elimination, proved by certificates rather than by a second
+elimination.
+
+For every seeded matrix M with ncols columns and claimed rank r:
+
+* each kernel vector satisfies M v = 0 by direct multiplication and has
+  the identity pattern on the free columns, so the ncols - r of them are
+  independent and the rank is at most r;
+* the r x r submatrix on the rows SpanBuilder kept and on the rref pivot
+  columns, times its inverse, is the identity by multiplication, so the
+  rank is at least r;
+* rref of its own output reproduces the same rows and pivots.
+"""
+
 import random
-from fractions import Fraction
 
 import pytest
 
-from liecoh.linalg import (
-    SpanBuilder,
-    det,
-    inverse,
-    kernel_basis,
-    rank_dense,
-    rank_sparse,
-    rref,
-)
+from liecoh import linalg
+from liecoh.linalg import SpanBuilder, inverse, kernel_basis, rank_sparse, rref
 from liecoh.scalars import ONE, ZERO, Scalar
 
 from helpers import matmul, random_invertible, random_scalar
 
 
-def _random_matrix(rng, nrows, ncols, density=0.6):
+def _random_rows(rng, nrows, ncols, density, complex_rate):
     return [
-        [random_scalar(rng) if rng.random() < density else ZERO for _ in range(ncols)]
+        {
+            c: random_scalar(rng, allow_zero=False, complex_rate=complex_rate)
+            for c in range(ncols)
+            if rng.random() < density
+        }
         for _ in range(nrows)
     ]
 
 
-def _to_sparse(matrix):
-    return [
-        {j: v for j, v in enumerate(row) if v}
-        for row in matrix
-    ]
+def _product_rows(rng, nrows, ncols, complex_rate):
+    # a product through an inner dimension below both sides, so the
+    # rank is usually deficient and the kernel nontrivial
+    inner = rng.randint(0, max(0, min(nrows, ncols) - 1))
+    a = [[random_scalar(rng, complex_rate=complex_rate) for _ in range(inner)] for _ in range(nrows)]
+    b = [[random_scalar(rng, complex_rate=complex_rate) for _ in range(ncols)] for _ in range(inner)]
+    if not inner:
+        return [{} for _ in range(nrows)]
+    return [{c: v for c, v in enumerate(row) if v} for row in matmul(a, b)]
+
+
+def _cases():
+    """(rows, ncols): empty shapes, then Q and Q(i), sparse, dense and
+    low-rank, some with a zero row or a zero column forced in."""
+    cases = [([], 0), ([], 4), ([{}], 3), ([{}, {}], 0), ([{}, {1: ONE}, {}], 3)]
+    rng = random.Random(20261018)
+    for complex_rate in (0.0, 0.5):
+        for kind in ("sparse", "dense", "product"):
+            for _ in range(20):
+                nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
+                if kind == "product":
+                    rows = _product_rows(rng, nrows, ncols, complex_rate)
+                else:
+                    density = 0.25 if kind == "sparse" else 0.9
+                    rows = _random_rows(rng, nrows, ncols, density, complex_rate)
+                if rows and rng.random() < 0.3:
+                    rows[rng.randrange(len(rows))] = {}
+                if ncols and rng.random() < 0.3:
+                    dead = rng.randrange(ncols)
+                    rows = [{c: v for c, v in row.items() if c != dead} for row in rows]
+                cases.append((rows, ncols))
+    return cases
+
+
+CASES = _cases()
+
+
+def _times(rows, vector):
+    return [sum((value * vector.get(c, ZERO) for c, value in row.items()), ZERO) for row in rows]
+
+
+def _identity(n):
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
+def test_kernel_vectors_annihilated():
+    for rows, ncols in CASES:
+        rank = rank_sparse(rows, ncols)
+        _, pivots = rref(rows, ncols)
+        free = [c for c in range(ncols) if c not in pivots]
+        kernel = kernel_basis(rows, ncols)
+        assert len(kernel) == len(free) == ncols - rank
+        for f, vector in zip(free, kernel):
+            assert all(vector.get(g, ZERO) == (ONE if g == f else ZERO) for g in free)
+            assert all(0 <= c < ncols for c in vector)
+            assert _times(rows, vector) == [ZERO] * len(rows)
+
+
+def test_rank_certified_by_invertible_minor():
+    for rows, ncols in CASES:
+        span = SpanBuilder(ncols)
+        kept = [row for row in rows if span.add(row)]
+        _, pivots = rref(rows, ncols)
+        rank = rank_sparse(rows, ncols)
+        assert len(kept) == len(pivots) == span.rank == rank
+        assert all(span.contains(row) for row in rows)
+        minor = [[row.get(c, ZERO) for c in pivots] for row in kept]
+        if minor:
+            assert matmul(minor, inverse(minor)) == _identity(rank)
+
+
+def test_rref_idempotent_and_pivots_sorted():
+    for rows, ncols in CASES:
+        reduced, pivots = rref(rows, ncols)
+        assert pivots == sorted(set(pivots))
+        for row, p in zip(reduced, pivots):
+            assert row[p] == ONE
+            assert min(row) == p
+            assert all(c == p or c not in pivots for c in row)
+            assert all(row.values())
+        assert rref(reduced, ncols) == (reduced, pivots)
+
+
+def test_pivot_rows_stay_within_the_hadamard_bound():
+    # every entry of a primitive pivot row divides a minor of the scaled
+    # input, so it is at most the product of the input row norms; without
+    # dividing out the Gaussian gcd the size doubles with every pivot
+    rng = random.Random(11)
+    for _ in range(5):
+        rows = _random_rows(rng, 10, 10, 1.0, 0.5)
+        bound = 1
+        for row in rows:
+            scaled = linalg._int_row(row, 10)
+            bound *= 1 + sum(a * a + b * b for a, b in scaled.values())
+        pivots = linalg._echelon(rows, 10)
+        assert len(pivots) == 10
+        for row in pivots.values():
+            assert all(a * a + b * b <= bound for a, b in row.values())
 
 
 def test_rank_known_values():
-    m = [
-        [Scalar(1), Scalar(2)],
-        [Scalar(2), Scalar(4)],
-    ]
-    assert rank_dense(m) == 1
-    assert rank_sparse(_to_sparse(m), 2) == 1
-    assert rank_dense([[ZERO, ZERO], [ZERO, ZERO]]) == 0
-    assert rank_dense([]) == 0
+    rows = [{0: Scalar(1), 1: Scalar(2)}, {0: Scalar(2), 1: Scalar(4)}]
+    assert rank_sparse(rows, 2) == 1
+    assert rank_sparse([{}, {}], 2) == 0
     assert rank_sparse([], 5) == 0
-
-
-def test_rank_sparse_matches_dense_random():
-    rng = random.Random(3)
-    for _ in range(60):
-        nrows = rng.randint(0, 7)
-        ncols = rng.randint(1, 7)
-        m = _random_matrix(rng, nrows, ncols)
-        r1 = rank_dense(m)
-        r2 = rank_sparse(_to_sparse(m), ncols)
-        _, pivots = rref(m)
-        assert r1 == r2 == len(pivots)
+    # explicit zero entries count as absent
+    assert rank_sparse([{0: ZERO, 1: ONE}, {1: Scalar(3)}], 2) == 1
 
 
 def test_rank_gaussian_integers():
     # rows are complex multiples of each other, rank 1
     i = Scalar(0, 1)
-    m = [
-        [ONE, i],
-        [i, Scalar(-1)],
-    ]
-    assert rank_dense(m) == 1
-    assert rank_sparse(_to_sparse(m), 2) == 1
-
-
-def test_kernel_vectors_annihilated():
-    rng = random.Random(9)
-    for _ in range(40):
-        nrows = rng.randint(1, 6)
-        ncols = rng.randint(1, 6)
-        m = _random_matrix(rng, nrows, ncols)
-        ker = kernel_basis(m, ncols)
-        assert len(ker) == ncols - rank_dense(m)
-        for v in ker:
-            for row in m:
-                s = sum((row[j] * v[j] for j in range(ncols)), ZERO)
-                assert s == ZERO
+    assert rank_sparse([{0: ONE, 1: i}, {0: i, 1: Scalar(-1)}], 2) == 1
 
 
 def test_kernel_of_zero_map_is_everything():
-    ker = kernel_basis([[ZERO, ZERO, ZERO]], 3)
-    assert len(ker) == 3
+    assert kernel_basis([{}], 3) == [{0: ONE}, {1: ONE}, {2: ONE}]
+    assert kernel_basis([], 2) == [{0: ONE}, {1: ONE}]
 
 
 def test_inverse_round_trip():
@@ -90,44 +159,15 @@ def test_inverse_round_trip():
     for _ in range(25):
         n = rng.randint(1, 5)
         m = random_invertible(rng, n)
-        mi = inverse(m)
-        prod = matmul(m, mi)
-        for i in range(n):
-            for j in range(n):
-                assert prod[i][j] == (ONE if i == j else ZERO)
+        assert matmul(m, inverse(m)) == _identity(n)
+    assert inverse([]) == []
 
 
 def test_inverse_singular():
     with pytest.raises(ValueError):
         inverse([[Scalar(1), Scalar(2)], [Scalar(2), Scalar(4)]])
-
-
-def test_det_examples():
-    assert det([[Scalar(2)]]) == Scalar(2)
-    assert det([[Scalar(1), Scalar(2)], [Scalar(3), Scalar(4)]]) == Scalar(-2)
-    assert det([[Scalar(1), Scalar(2)], [Scalar(2), Scalar(4)]]) == ZERO
-
-
-def test_det_multiplicative():
-    rng = random.Random(23)
-    for _ in range(20):
-        n = rng.randint(1, 4)
-        a = _random_matrix(rng, n, n)
-        b = _random_matrix(rng, n, n)
-        assert det(matmul(a, b)) == det(a) * det(b)
-
-
-def test_rref_idempotent_and_pivots_sorted():
-    rng = random.Random(31)
-    for _ in range(30):
-        m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        rows, pivots = rref(m)
-        assert pivots == sorted(pivots)
-        rows2, pivots2 = rref(rows)
-        assert rows2 == rows
-        assert pivots2 == pivots
-        for r, p in zip(rows, pivots):
-            assert r[p] == ONE
+    with pytest.raises(ValueError):
+        inverse([[ONE, ZERO]])
 
 
 def test_span_builder_tracks_rank():
@@ -137,10 +177,10 @@ def test_span_builder_tracks_rank():
         sb = SpanBuilder(ncols)
         collected = []
         for _ in range(rng.randint(0, 10)):
-            v = [random_scalar(rng) for _ in range(ncols)]
+            v = _random_rows(rng, 1, ncols, 0.7, 0.25)[0]
             grew = sb.add(v)
-            collected.append(list(v))
-            assert sb.rank == rank_dense(collected)
+            collected.append(v)
+            assert sb.rank == rank_sparse(collected, ncols)
             assert sb.contains(v)
             if not grew:
                 # adding again never helps
@@ -149,8 +189,10 @@ def test_span_builder_tracks_rank():
 
 def test_span_builder_contains_combinations():
     sb = SpanBuilder(3)
-    sb.add([ONE, ZERO, ONE])
-    sb.add([ZERO, ONE, ONE])
-    assert sb.contains([ONE, ONE, Scalar(2)])
-    assert not sb.contains([ZERO, ZERO, ONE])
-    assert sb.contains([ZERO, ZERO, ZERO])
+    sb.add({0: ONE, 2: ONE})
+    sb.add({1: ONE, 2: ONE})
+    assert sb.contains({0: ONE, 1: ONE, 2: Scalar(2)})
+    assert not sb.contains({2: ONE})
+    assert sb.contains({})
+    with pytest.raises(ValueError):
+        sb.add({3: ONE})

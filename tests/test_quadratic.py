@@ -23,13 +23,12 @@ from liecoh.linalg import SpanBuilder
 from liecoh.quadratic import (
     associated_three_form,
     coboundary_via_poisson,
-    sharp_basis,
     super_poisson,
     validate,
 )
 from liecoh.scalars import ONE, ZERO, Scalar
 
-from helpers import matmul, random_form
+from helpers import matmul, random_form, span_row
 
 
 def _random_lambdas(rng, n, allow_complex=True):
@@ -64,6 +63,9 @@ def test_validate_rejects_bad_forms():
         validate(g, [[ONE, ONE], [ZERO, ONE]])
     with pytest.raises(Degenerate):
         validate(g, [[ONE, ONE], [ONE, ONE]])
+    i = Scalar(0, 1)
+    with pytest.raises(Degenerate):
+        validate(g, [[ONE, i], [i, Scalar(-1)]])
 
 
 def test_validate_reports_invariance_failure():
@@ -85,10 +87,10 @@ def test_validate_abelian_any_symmetric_invertible():
 def test_sharp_examples():
     g = abelian(2)
     s1 = validate(g, [[ONE, ZERO], [ZERO, ONE]])
-    assert sharp_basis(s1) == [[ONE, ZERO], [ZERO, ONE]]
+    assert s1.sharp == ((ONE, ZERO), (ZERO, ONE))
     s2 = validate(g, [[Scalar(2), ZERO], [ZERO, Scalar(2)]])
     half = Scalar(Fraction(1, 2))
-    assert sharp_basis(s2) == [[half, ZERO], [ZERO, half]]
+    assert s2.sharp == ((half, ZERO), (ZERO, half))
 
 
 def test_diamond_sharp_swaps_pairs():
@@ -116,10 +118,10 @@ def test_metric_dual_basis_property():
     ]
     for structure in structures:
         n = structure.algebra.dim
-        duals = sharp_basis(structure)
         for i in range(n):
+            # Y_i is column i of sharp
             row = [
-                sum((duals[i][l] * structure.form[l][j] for l in range(n)), ZERO)
+                sum((structure.sharp[l][i] * structure.form[l][j] for l in range(n)), ZERO)
                 for j in range(n)
             ]
             assert row == [ONE if j == i else ZERO for j in range(n)]
@@ -270,18 +272,18 @@ def test_exact_two_forms_are_contractions_of_three_form():
         monomials = basis(dim, 2)
         contraction_span = SpanBuilder(len(monomials))
         for index in range(dim):
-            contraction_span.add(contract_basis(I, index).coordinates(monomials))
+            contraction_span.add(span_row(contract_basis(I, index), monomials))
         exact_span = SpanBuilder(len(monomials))
         exact = coboundary_basis(g, 2)
         for w in exact:
-            exact_span.add(w.coordinates(monomials))
+            exact_span.add(span_row(w, monomials))
         assert len(exact) == 2 * n + 1
         assert contraction_span.rank == 2 * n + 1
         for w in exact:
-            assert contraction_span.contains(w.coordinates(monomials))
+            assert contraction_span.contains(span_row(w, monomials))
         for index in range(dim):
             assert exact_span.contains(
-                contract_basis(I, index).coordinates(monomials)
+                span_row(contract_basis(I, index), monomials)
             )
 
 
@@ -315,14 +317,14 @@ def test_closed_two_forms_structure():
         candidate_span = SpanBuilder(len(monomials))
         for w in candidates:
             assert apply_coboundary(g, w).is_zero()
-            candidate_span.add(w.coordinates(monomials))
+            candidate_span.add(span_row(w, monomials))
         closed_span = SpanBuilder(len(monomials))
         closed = cocycle_basis(g, 2)
         for w in closed:
-            closed_span.add(w.coordinates(monomials))
-            assert candidate_span.contains(w.coordinates(monomials))
+            closed_span.add(span_row(w, monomials))
+            assert candidate_span.contains(span_row(w, monomials))
         for w in candidates:
-            assert closed_span.contains(w.coordinates(monomials))
+            assert closed_span.contains(span_row(w, monomials))
         assert candidate_span.rank == closed_span.rank
 
 
