@@ -325,14 +325,20 @@ def _verify_profile_doc(path: str) -> tuple[str, int]:
         algebra = lie_algebra.algebra_from_json(doc["algebra"])
     except (LieCohError, ValueError) as err:
         raise BadInput(f"{path}: {err}") from None
+    for key in ("betti", "ranks"):
+        # type() rather than isinstance, since JSON true is a bool and so an int
+        if key in doc and not (
+            isinstance(doc[key], list) and all(type(v) is int for v in doc[key])
+        ):
+            raise BadInput(f"{path}: {key!r} must be a list of integers, got {doc[key]!r}")
     profile = cochain.betti_profile(algebra)
-    stored = list(doc["betti"])
+    stored = doc["betti"]
     if stored != list(profile.b):
         return (
             f"MISMATCH {path}: stored betti {stored} but recomputed {list(profile.b)}\n",
             1,
         )
-    if "ranks" in doc and list(doc["ranks"]) != list(profile.ranks):
+    if "ranks" in doc and doc["ranks"] != list(profile.ranks):
         return (
             f"MISMATCH {path}: stored ranks {doc['ranks']} but recomputed "
             f"{list(profile.ranks)}\n",

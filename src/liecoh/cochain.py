@@ -7,22 +7,35 @@ The coboundary of a k-form f is
 
 On the dual basis this means d(e_l*) = -sum_{i<j} c^l_{ij} e_i* ^ e_j*
 where the c are the structure constants, and d extends to all of the
-exterior algebra as an antiderivation.  ``apply_coboundary`` implements
-exactly that, and every matrix in the package is assembled column by
-column from it: there is one code path from structure constants to
-coboundaries.
+exterior algebra as an antiderivation.
 
 Degree-k cochains are coordinatised by the lexicographic monomial list
 ``exterior.basis(dim, k)``.  The matrix of d in degree k then has
 C(n, k+1) rows and C(n, k) columns; its exact rank gives Betti numbers
 through  b_k = C(n, k) - rank d_{k-1} - rank d_k  with the out-of-range
 ranks defined to be zero.
+
+``coboundary_matrix`` assembles that matrix in Gaussian integers.  It
+multiplies the structure constants by D, the lcm of all their
+denominators, into a table of D d(e_l*), walks the degree-k monomials
+as bitmasks and writes the rows of D d_k as ``{column: (re, im)}``.
+Scaling by D changes no rank, kernel, echelon form or span, so the rank
+path hands those rows to ``linalg.rank_gaussian`` and never builds a
+Scalar; the Scalar entries of d_k itself (the integers divided by D)
+are built only when a caller reads them.
+
+``apply_coboundary`` expands the antiderivation on an ``ExteriorForm``
+with Scalar arithmetic.  It shares no code with the assembly and is the
+reference route the tests check every matrix column against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
+from math import comb, lcm
 
 from . import linalg
 from .errors import DegreeOutOfRange, DimensionMismatch
@@ -101,14 +114,28 @@ def apply_coboundary(algebra: LieAlgebra, w: ExteriorForm) -> ExteriorForm:
 class CoboundaryMatrix:
     """Sparse matrix of d in one degree, in lexicographic monomial order.
 
-    ``entries`` maps (row, column) to a nonzero scalar; row indexes the
-    degree k+1 monomials, column the degree k monomials.
+    Row indexes the degree k+1 monomials, column the degree k monomials.
+    ``int_rows`` maps a row to its nonzero Gaussian-integer entries
+    ``{column: (re, im)}`` of D d_k, where D is ``denominator``, in
+    increasing row order; rows without entries are absent.  ``entries``
+    maps (row, column) to the nonzero Scalar entry of d_k, and is built
+    on first read.
     """
 
     degree: int
     rows: int
     cols: int
-    entries: dict[tuple[int, int], Scalar]
+    int_rows: dict[int, dict[int, tuple[int, int]]]
+    denominator: int
+
+    @cached_property
+    def entries(self) -> dict[tuple[int, int], Scalar]:
+        d = self.denominator
+        return {
+            (r, c): Scalar(Fraction(re, d), Fraction(im, d))
+            for r, row in self.int_rows.items()
+            for c, (re, im) in row.items()
+        }
 
     def sparse_rows(self) -> list[dict[int, Scalar]]:
         rows: list[dict[int, Scalar]] = [{} for _ in range(self.rows)]
@@ -126,26 +153,79 @@ class CoboundaryMatrix:
         return "\n".join(lines) + "\n"
 
 
+def _scaled_dual_table(
+    algebra: LieAlgebra,
+) -> tuple[int, list[list[tuple[int, int, int, int]]]]:
+    """D and, per basis index l, the terms of D d(e_l*).
+
+    D is the lcm of the denominators of every structure constant.  A
+    term of d(e_l*) = -sum c^l_ab e_a* ^ e_b* is kept as (pair,
+    between, re, im): the bitmask of {a, b}, the bitmask of a..b-1 and
+    the Gaussian integer -D c^l_ab.
+    """
+    denominator = 1
+    for vector in algebra.brackets.values():
+        for c in vector.values():
+            denominator = lcm(denominator, c.re.denominator, c.im.denominator)
+    table: list[list[tuple[int, int, int, int]]] = [[] for _ in range(algebra.dim)]
+    for (a, b), vector in algebra.brackets.items():
+        pair = (1 << a) | (1 << b)
+        between = (1 << b) - (1 << a)
+        for l, c in vector.items():
+            table[l].append((
+                pair,
+                between,
+                -c.re.numerator * (denominator // c.re.denominator),
+                -c.im.numerator * (denominator // c.im.denominator),
+            ))
+    return denominator, table
+
+
 def coboundary_matrix(algebra: LieAlgebra, k: int) -> CoboundaryMatrix:
-    """Matrix of d on degree-k cochains, assembled column by column."""
+    """Matrix of d on degree-k cochains, assembled as D d_k in Gaussian
+    integers."""
     n = algebra.dim
     if not (0 <= k <= n):
         raise DegreeOutOfRange(f"degree {k} outside 0..{n}")
-    source = basis(n, k)
-    target_index = {key: r for r, key in enumerate(basis(n, k + 1))} if k < n else {}
-    entries: dict[tuple[int, int], Scalar] = {}
-    for c, key in enumerate(source):
-        image = apply_coboundary(algebra, ExteriorForm(n, k, {key: 1}))
-        for target_key, value in image.terms.items():
-            entries[(target_index[target_key], c)] = value
+    denominator, table = _scaled_dual_table(algebra)
+    bits = [1 << i for i in range(n)]
+    row_of = {mask: r for r, mask in enumerate(map(sum, combinations(bits, k + 1)))}
+    rows: dict[int, dict[int, tuple[int, int]]] = {}
+    sources = zip(combinations(range(n), k), map(sum, combinations(bits, k)))
+    for c, (key, mask) in enumerate(sources):
+        image: dict[int, tuple[int, int]] = {}
+        for position, l in enumerate(key):
+            rest = mask ^ bits[l]
+            for pair, between, re, im in table[l]:
+                if rest & pair:
+                    continue
+                # (-1)**position walks d past the earlier one-forms; the
+                # rest indices that a and b jump past to reach their
+                # places count twice below a, so only those in a..b-1
+                # change the parity
+                if (position + (rest & between).bit_count()) & 1:
+                    re, im = -re, -im
+                target = rest | pair
+                if target in image:
+                    old_re, old_im = image[target]
+                    re, im = old_re + re, old_im + im
+                image[target] = (re, im)
+        for target, value in image.items():
+            if value != (0, 0):
+                rows.setdefault(row_of[target], {})[c] = value
     return CoboundaryMatrix(
-        degree=k, rows=comb(n, k + 1), cols=len(source), entries=entries
+        degree=k,
+        rows=comb(n, k + 1),
+        cols=comb(n, k),
+        int_rows=dict(sorted(rows.items())),
+        denominator=denominator,
     )
 
 
 def rank_exact(matrix: CoboundaryMatrix) -> int:
-    """Exact rank over Q(i) by fraction-free elimination."""
-    return linalg.rank_sparse(matrix.sparse_rows(), matrix.cols)
+    """Exact rank over Q(i) by fraction-free elimination of the integer
+    rows."""
+    return linalg.rank_gaussian(matrix.int_rows.values())
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ scaled by a positive integer that clears its denominators, with the
 Gaussian-integer gcd of its entries divided out; it goes out divided
 by its pivot entry.
 Scalar arithmetic happens only in those two conversions.
+``rank_gaussian`` takes Gaussian-integer rows as they are, so a caller
+that already holds integers (the coboundary assembly) builds no Scalar.
 
 In between, ``_reduce`` is the only code that combines two rows.  It
 reduces a row left-looking against pivot rows keyed by their leading
@@ -13,8 +15,9 @@ column, fraction-free: the row is cross-multiplied with a pivot row so
 that the pivot column cancels, and its content is divided out again.
 Everything else is built from it:
 
-* ``rank_sparse`` and ``SpanBuilder`` keep a row when something
-  survives the reduction, under a pivot key that is its leading column;
+* ``rank_gaussian``, ``rank_sparse`` and ``SpanBuilder`` keep a row
+  when something survives the reduction, under a pivot key that is its
+  leading column;
 * ``rref`` reduces every pivot row once more against the pivot rows to
   its right, which gives the unique reduced row echelon form;
 * ``kernel_basis`` and ``inverse`` read their vectors off ``rref``.
@@ -31,6 +34,7 @@ from math import gcd
 from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
+    "rank_gaussian",
     "rank_sparse",
     "rref",
     "kernel_basis",
@@ -149,14 +153,26 @@ def _reduce(row, pivots) -> dict[int, tuple[int, int]]:
         row = _strip_content(combo)
 
 
-def _echelon(rows, ncols: int) -> dict[int, dict[int, tuple[int, int]]]:
-    """Pivot rows of a row echelon form of the matrix, keyed by leading column."""
+def _echelon_int(rows) -> dict[int, dict[int, tuple[int, int]]]:
+    """Pivot rows of a row echelon form of primitive Gaussian-integer
+    rows, keyed by leading column."""
     pivots = {}
-    for row in filter(None, rows):
-        reduced = _reduce(_int_row(row, ncols), pivots)
+    for row in rows:
+        reduced = _reduce(row, pivots)
         if reduced:
             pivots[min(reduced)] = reduced
     return pivots
+
+
+def _echelon(rows, ncols: int) -> dict[int, dict[int, tuple[int, int]]]:
+    """``_echelon_int`` of sparse {column: Scalar} rows."""
+    return _echelon_int(_int_row(row, ncols) for row in filter(None, rows))
+
+
+def rank_gaussian(rows) -> int:
+    """Exact rank of a matrix given as Gaussian-integer rows
+    {column: (re, im)}, in any order, empty rows allowed."""
+    return len(_echelon_int(map(_strip_content, rows)))
 
 
 def rank_sparse(rows, ncols: int) -> int:

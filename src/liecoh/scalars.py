@@ -173,20 +173,35 @@ def scalar_to_json(value: Scalar):
     return {"re": str(value.re), "im": str(value.im)}
 
 
+_JSON_REAL_RE = _re.compile(rf"[+-]?{_NUM}", _re.ASCII)
+
+
+def _real_from_json(data) -> Fraction:
+    # a real value is a string [+-]?\d+(/\d+)?; JSON numbers, floats,
+    # exponents and anything else are refused
+    if not isinstance(data, str) or _JSON_REAL_RE.fullmatch(data) is None:
+        raise ValueError(f"cannot read real value {data!r}; expected a string like '-3/4'")
+    try:
+        return Fraction(data)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {data!r}") from None
+
+
 def scalar_from_json(data) -> Scalar:
     """Read a scalar from the JSON algebra schema.
 
     Real values are strings like ``"-3/4"``; complex values are objects
-    ``{"re": "p/q", "im": "r/s"}`` with either key optional.
+    ``{"re": "p/q", "im": "r/s"}`` with either key optional.  Anything
+    else raises ValueError.
     """
     if isinstance(data, str):
-        return Scalar(Fraction(data))
+        return Scalar(_real_from_json(data))
     if isinstance(data, dict):
         extra = set(data) - {"re", "im"}
         if extra:
             raise ValueError(f"unexpected scalar keys {sorted(extra)}")
-        re_part = Fraction(data["re"]) if "re" in data else Fraction(0)
-        im_part = Fraction(data["im"]) if "im" in data else Fraction(0)
+        re_part = _real_from_json(data["re"]) if "re" in data else Fraction(0)
+        im_part = _real_from_json(data["im"]) if "im" in data else Fraction(0)
         return Scalar(re_part, im_part)
     raise ValueError(f"cannot read scalar from {data!r}")
 

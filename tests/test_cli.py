@@ -318,3 +318,29 @@ def test_malformed_algebra_json_is_bad_input(capsys, tmp_path, doc):
     code, out, err = run(capsys, "betti", "--input", str(path), "--degree", "1")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    [{"re": [1]}, "1.5", "1e3", {"re": 1.5}, "1/0"],
+    ids=["list-part", "decimal-string", "exponent-string", "float-part", "zero-denominator"],
+)
+def test_coefficient_outside_the_scalar_grammar_is_bad_input(capsys, tmp_path, coeff):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps({"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"1": coeff}}]}))
+    code, out, err = run(capsys, "betti", "--input", str(path), "--degree", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [{"betti": 5}, {"betti": [1, 2, 1], "ranks": 7}, {"betti": [1, True, 1]}],
+    ids=["betti-number", "ranks-number", "betti-bool"],
+)
+def test_verify_rejects_stored_vectors_that_are_not_integer_lists(capsys, tmp_path, vectors):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"algebra": {"dim": 2}, **vectors}))
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "list of integers" in err

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -19,15 +20,22 @@ from liecoh.exterior import ExteriorForm, basis, wedge
 from liecoh.lie_algebra import (
     abelian,
     aff_r,
+    change_basis,
     diamond,
     direct_sum,
     from_structure_constants,
     heisenberg,
 )
-from liecoh.linalg import SpanBuilder
+from liecoh.linalg import SpanBuilder, inverse
 from liecoh.scalars import ONE, ZERO, Scalar
 
-from helpers import oracle_coboundary, random_algebra, random_form, span_row
+from helpers import (
+    oracle_coboundary,
+    random_algebra,
+    random_form,
+    random_scalar,
+    span_row,
+)
 
 
 def test_aff_coboundary_of_dual_basis():
@@ -123,6 +131,108 @@ def test_coboundary_is_a_derivation_on_wedges():
         if p % 2:
             tail = -tail
         assert left == right + tail
+
+
+def _random_direct_sum(rng):
+    summands = [
+        rng.choice([aff_r(), heisenberg(1), heisenberg(2), abelian(rng.randint(1, 2))])
+        for _ in range(rng.randint(1, 3))
+    ]
+    g = summands[0]
+    for other in summands[1:]:
+        if g.dim + other.dim <= 8:
+            g = direct_sum(g, other)
+    return g
+
+
+def _random_gaussian_diamond(rng):
+    lam = [random_scalar(rng, allow_zero=False, complex_rate=0.7) for _ in range(rng.randint(1, 3))]
+    return diamond(lam)[0]
+
+
+def _random_dense_image(rng):
+    g = rng.choice([aff_r(), heisenberg(1), diamond([Scalar(1, 1)])[0], direct_sum(aff_r(), aff_r())])
+    while True:
+        S = [
+            [random_scalar(rng, allow_zero=False, complex_rate=0.5) for _ in range(g.dim)]
+            for _ in range(g.dim)
+        ]
+        try:
+            return change_basis(g, S, inverse(S))
+        except ValueError:
+            continue
+
+
+def _matrix_columns(matrix):
+    # columns of d_k from the integer rows of D d_k, divided by D
+    d = matrix.denominator
+    columns = [{} for _ in range(matrix.cols)]
+    for r, row in matrix.int_rows.items():
+        assert 0 <= r < matrix.rows and row
+        for c, (re, im) in row.items():
+            assert re or im
+            columns[c][r] = Scalar(Fraction(re, d), Fraction(im, d))
+    return columns
+
+
+@pytest.mark.parametrize(
+    "make, seed",
+    [(_random_direct_sum, 61), (_random_gaussian_diamond, 62), (_random_dense_image, 63)],
+)
+def test_assembly_columns_match_apply_coboundary(make, seed):
+    rng = random.Random(seed)
+    for _ in range(6):
+        g = make(rng)
+        for k in range(g.dim + 1):
+            matrix = coboundary_matrix(g, k)
+            assert (matrix.rows, matrix.cols) == (comb(g.dim, k + 1), comb(g.dim, k))
+            columns = _matrix_columns(matrix)
+            assert matrix.entries == {
+                (r, c): value for c, column in enumerate(columns) for r, value in column.items()
+            }
+            targets = basis(g.dim, k + 1) if k < g.dim else []
+            for c, key in enumerate(basis(g.dim, k)):
+                w = ExteriorForm(g.dim, k, {key: 1})
+                expected = apply_coboundary(g, w)
+                assert ExteriorForm(
+                    g.dim, k + 1, {targets[r]: v for r, v in columns[c].items()}
+                ) == expected
+                if g.dim <= 5:
+                    assert expected == oracle_coboundary(g, w)
+
+
+def test_denominator_clears_every_structure_constant():
+    # [e0, e1] = (1/3 + 2/3 i) e2 and [e0, e2] = -25/16 e2, so D = 48 and
+    # d e2* = -(1/3 + 2/3 i) e0* ^ e1* + 25/16 e0* ^ e2*
+    g = from_structure_constants(
+        3,
+        [
+            (0, 1, (ZERO, ZERO, Scalar(Fraction(1, 3), Fraction(2, 3)))),
+            (0, 2, (ZERO, ZERO, Scalar(Fraction(-25, 16)))),
+        ],
+    )
+    matrix = coboundary_matrix(g, 1)
+    assert matrix.denominator == 48
+    assert matrix.int_rows == {0: {2: (-16, -32)}, 1: {2: (75, 0)}}
+    assert matrix.to_coordinate_text() == "% 1 3 3\n0 2 -1/3-2/3i\n1 2 25/16\n"
+
+
+def test_rank_path_builds_no_scalar(monkeypatch):
+    algebras = [heisenberg(3), _random_gaussian_diamond(random.Random(5)),
+                _random_dense_image(random.Random(6))]
+    expected = [betti_profile(g) for g in algebras]
+    created = []
+    original = Scalar.__init__
+
+    def counting_init(self, *args, **kwargs):
+        created.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    for g, profile in zip(algebras, expected):
+        assert betti_profile(g) == profile
+        assert betti(g, 2) == profile.b[2]
+    assert created == []
 
 
 def test_rank_examples():

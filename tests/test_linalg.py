@@ -117,6 +117,22 @@ def test_rref_idempotent_and_pivots_sorted():
         assert rref(reduced, ncols) == (reduced, pivots)
 
 
+def test_rank_gaussian_agrees_with_rank_sparse():
+    # integer rows with a common Gaussian factor left in, in shuffled
+    # order: the same rank as the Scalar rows they came from
+    rng = random.Random(29)
+    for rows, ncols in CASES:
+        int_rows = []
+        for row in rows:
+            fa, fb = rng.choice([(1, 0), (3, 0), (2, 2), (-1, 5), (0, -7)])
+            int_rows.append({
+                c: (fa * a - fb * b, fa * b + fb * a)
+                for c, (a, b) in linalg._int_row(row, ncols).items()
+            })
+        rng.shuffle(int_rows)
+        assert linalg.rank_gaussian(int_rows) == rank_sparse(rows, ncols)
+
+
 def test_pivot_rows_stay_within_the_hadamard_bound():
     # every entry of a primitive pivot row divides a minor of the scaled
     # input, so it is at most the product of the input row norms; without
