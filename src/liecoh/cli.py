@@ -126,17 +126,23 @@ def _build_family(config: RunConfig) -> tuple[lie_algebra.LieAlgebra, str]:
     raise UnknownFamily(f"unknown family {name!r}; choose from {', '.join(FAMILIES)}")
 
 
+def _read_json(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as err:
+        raise IOFailure(f"cannot read {path}: {err}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise BadInput(f"{path} is not valid JSON: {err}") from None
+    except RecursionError:
+        raise BadInput(f"{path} is nested too deeply to read") from None
+
+
 def _load_algebra(config: RunConfig) -> tuple[lie_algebra.LieAlgebra, str]:
     if config.family is not None:
         return _build_family(config)
     path = config.input_path
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as err:
-        raise IOFailure(f"cannot read {path}: {err}") from None
-    except json.JSONDecodeError as err:
-        raise BadInput(f"{path} is not valid JSON: {err}") from None
+    data = _read_json(path)
     try:
         algebra = lie_algebra.algebra_from_json(data)
     except (LieCohError, ValueError) as err:
@@ -312,13 +318,7 @@ def _random_lambda(rng: random.Random) -> list[Scalar]:
 
 
 def _verify_profile_doc(path: str) -> tuple[str, int]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as err:
-        raise IOFailure(f"cannot read {path}: {err}") from None
-    except json.JSONDecodeError as err:
-        raise BadInput(f"{path} is not valid JSON: {err}") from None
+    doc = _read_json(path)
     if not isinstance(doc, dict) or "algebra" not in doc or "betti" not in doc:
         raise BadInput(f"{path} is not a profile document (needs 'algebra' and 'betti')")
     try:

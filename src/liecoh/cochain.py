@@ -19,10 +19,10 @@ ranks defined to be zero.
 multiplies the structure constants by D, the lcm of all their
 denominators, into a table of D d(e_l*), walks the degree-k monomials
 as bitmasks and writes the rows of D d_k as ``{column: (re, im)}``.
-Scaling by D changes no rank, kernel, echelon form or span, so the rank
-path hands those rows to ``linalg.rank_gaussian`` and never builds a
-Scalar; the Scalar entries of d_k itself (the integers divided by D)
-are built only when a caller reads them.
+Scaling by D changes no rank, kernel, echelon form or span, so every
+rank and basis function hands those rows to ``linalg`` as they are;
+Scalars appear only in the forms that come out and in the ``entries``
+of d_k that ``export-matrix`` prints.
 
 ``apply_coboundary`` expands the antiderivation on an ``ExteriorForm``
 with Scalar arithmetic.  It shares no code with the assembly and is the
@@ -118,8 +118,8 @@ class CoboundaryMatrix:
     ``int_rows`` maps a row to its nonzero Gaussian-integer entries
     ``{column: (re, im)}`` of D d_k, where D is ``denominator``, in
     increasing row order; rows without entries are absent.  ``entries``
-    maps (row, column) to the nonzero Scalar entry of d_k, and is built
-    on first read.
+    maps (row, column) to the nonzero Scalar entry of d_k; it is built
+    on first read, for export only, and no elimination starts from it.
     """
 
     degree: int
@@ -136,12 +136,6 @@ class CoboundaryMatrix:
             for r, row in self.int_rows.items()
             for c, (re, im) in row.items()
         }
-
-    def sparse_rows(self) -> list[dict[int, Scalar]]:
-        rows: list[dict[int, Scalar]] = [{} for _ in range(self.rows)]
-        for (r, c), value in self.entries.items():
-            rows[r][c] = value
-        return rows
 
     def to_coordinate_text(self) -> str:
         """Coordinate-list export: header ``% k rows cols`` then
@@ -322,7 +316,7 @@ def cocycle_basis(algebra: LieAlgebra, k: int) -> list[ExteriorForm]:
     monomials = basis(n, k)
     return [
         _form_from_vector(n, k, monomials, vec)
-        for vec in linalg.kernel_basis(matrix.sparse_rows(), matrix.cols)
+        for vec in linalg.kernel_basis(list(matrix.int_rows.values()), matrix.cols)
     ]
 
 
@@ -339,10 +333,16 @@ def coboundary_basis(algebra: LieAlgebra, k: int) -> list[ExteriorForm]:
     if k == 0:
         return []
     matrix = coboundary_matrix(algebra, k - 1)
-    _, pivots = linalg.rref(matrix.sparse_rows(), matrix.cols)
+    _, pivots = linalg.rref(list(matrix.int_rows.values()))
     columns = _columns(matrix)
     monomials = basis(n, k)
-    return [_form_from_vector(n, k, monomials, columns[c]) for c in pivots]
+    d = matrix.denominator
+    return [
+        _form_from_vector(n, k, monomials, {
+            r: Scalar(Fraction(re, d), Fraction(im, d)) for r, (re, im) in columns[c].items()
+        })
+        for c in pivots
+    ]
 
 
 def cohomology_representatives(algebra: LieAlgebra, k: int) -> list[ExteriorForm]:
@@ -354,22 +354,24 @@ def cohomology_representatives(algebra: LieAlgebra, k: int) -> list[ExteriorForm
     """
     n = algebra.dim
     monomials = basis(n, k)
-    span = linalg.SpanBuilder(len(monomials))
+    span = linalg.SpanBuilder()
     if k > 0:
         for column in _columns(coboundary_matrix(algebra, k - 1)):
             span.add(column)
     matrix = coboundary_matrix(algebra, k)
     return [
         _form_from_vector(n, k, monomials, vec)
-        for vec in linalg.kernel_basis(matrix.sparse_rows(), matrix.cols)
-        if span.add(vec)
+        for vec in linalg.kernel_basis(list(matrix.int_rows.values()), matrix.cols)
+        if span.add(linalg.gaussian_row(vec, matrix.cols))
     ]
 
 
-def _columns(matrix: CoboundaryMatrix) -> list[dict[int, Scalar]]:
-    columns: list[dict[int, Scalar]] = [{} for _ in range(matrix.cols)]
-    for (r, c), value in matrix.entries.items():
-        columns[c][r] = value
+def _columns(matrix: CoboundaryMatrix) -> list[dict[int, tuple[int, int]]]:
+    """The columns of D d_k as Gaussian-integer rows {row: (re, im)}."""
+    columns: list[dict[int, tuple[int, int]]] = [{} for _ in range(matrix.cols)]
+    for r, row in matrix.int_rows.items():
+        for c, value in row.items():
+            columns[c][r] = value
     return columns
 
 

@@ -270,11 +270,9 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
 
 def derived_ideal_dim(algebra: LieAlgebra) -> int:
     """Dimension of [g, g], the span of all basis brackets."""
-    rows = [
-        {l: c for l, c in vector.items()}
-        for vector in algebra.brackets.values()
-    ]
-    return linalg.rank_sparse(rows, algebra.dim)
+    return linalg.rank_gaussian(
+        linalg.gaussian_row(vector, algebra.dim) for vector in algebra.brackets.values()
+    )
 
 
 def change_basis(algebra: LieAlgebra, matrix, inverse_matrix=None) -> LieAlgebra:
@@ -346,6 +344,9 @@ def algebra_from_json(data: dict) -> LieAlgebra:
         vector = {}
         for key, value in coeffs.items():
             l = int(key)
+            # only the form algebra_to_json writes: int() also takes "1_0", "+2", " 2 "
+            if str(l) != key:
+                raise BadInput(f"coefficient index {key!r} is not a plain decimal integer")
             if not (0 <= l < dim):
                 raise IndexOutOfRange(f"coefficient index {l} outside 0..{dim - 1}")
             vector[l] = scalar_from_json(value)

@@ -1,29 +1,29 @@
 """Exact linear algebra over the Gaussian rationals, on one kernel.
 
-Rows are sparse ``{column: Scalar}`` dicts at the interface and
-Gaussian-integer rows ``{column: (re, im)}`` inside.  A row comes in
-scaled by a positive integer that clears its denominators, with the
-Gaussian-integer gcd of its entries divided out; it goes out divided
-by its pivot entry.
-Scalar arithmetic happens only in those two conversions.
-``rank_gaussian`` takes Gaussian-integer rows as they are, so a caller
-that already holds integers (the coboundary assembly) builds no Scalar.
+Rows are sparse dicts ``{column: (re, im)}`` of nonzero Gaussian
+integers at any scale (only ``inverse`` takes a dense Scalar matrix): a
+nonzero multiple of a row changes no rank, echelon form, kernel or span,
+so a caller holding integers (the coboundary assembly) passes them as is.
+``gaussian_row`` is the one edge from Scalars; it clears the
+denominators of a ``{column: Scalar}`` row.  ``_scalar_row`` is the one
+edge back; it divides a row by its pivot entry, which gives the rows of
+``rref`` and so the vectors of ``kernel_basis`` and ``inverse``.
 
 In between, ``_reduce`` is the only code that combines two rows.  It
 reduces a row left-looking against pivot rows keyed by their leading
 column, fraction-free: the row is cross-multiplied with a pivot row so
-that the pivot column cancels, and its content is divided out again.
-Everything else is built from it:
+that the pivot column cancels, and the Gaussian-integer gcd of its
+entries is divided out again.  Everything else is built from it:
 
-* ``rank_gaussian``, ``rank_sparse`` and ``SpanBuilder`` keep a row
-  when something survives the reduction, under a pivot key that is its
-  leading column;
+* ``rank_gaussian`` and ``SpanBuilder`` keep a row when something
+  survives the reduction, under a pivot key that is its leading column;
 * ``rref`` reduces every pivot row once more against the pivot rows to
   its right, which gives the unique reduced row echelon form;
 * ``kernel_basis`` and ``inverse`` read their vectors off ``rref``.
 
 Because the reduced echelon form is unique, every vector these
-functions return depends on the matrix alone, not on row order.
+functions return depends on the row space alone, not on row order or
+scale.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from math import gcd
 from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
+    "gaussian_row",
     "rank_gaussian",
-    "rank_sparse",
     "rref",
     "kernel_basis",
     "inverse",
@@ -43,9 +43,10 @@ __all__ = [
 ]
 
 
-def _int_row(row, ncols: int) -> dict[int, tuple[int, int]]:
-    """Scale one sparse Scalar row to primitive Gaussian-integer entries;
-    ValueError for a column outside 0..ncols-1."""
+def gaussian_row(row, ncols: int) -> dict[int, tuple[int, int]]:
+    """Scale one sparse {column: Scalar} row by the lcm of its
+    denominators to Gaussian-integer entries, dropping zeros; ValueError
+    for a column outside 0..ncols-1."""
     values = {}
     scale = 1
     for col, value in row.items():
@@ -56,14 +57,13 @@ def _int_row(row, ncols: int) -> dict[int, tuple[int, int]]:
             values[col] = value
             for d in (value.re.denominator, value.im.denominator):
                 scale = scale // gcd(scale, d) * d
-    out = {
+    return {
         col: (
             value.re.numerator * (scale // value.re.denominator),
             value.im.numerator * (scale // value.im.denominator),
         )
         for col, value in values.items()
     }
-    return _strip_content(out)
 
 
 def _gcd_gaussian(xa: int, xb: int, ya: int, yb: int) -> tuple[int, int]:
@@ -123,11 +123,12 @@ def _scalar_row(row: dict[int, tuple[int, int]], pivot: int) -> dict[int, Scalar
 def _reduce(row, pivots) -> dict[int, tuple[int, int]]:
     """Eliminate from ``row`` every column that keys a pivot row.
 
-    Columns are taken left to right; a pivot row only adds entries to
-    the right of its key, so one pass suffices.  Returns the reduced
-    primitive row, which is empty when ``row`` lies in the span of
-    the pivot rows.
+    ``row`` may have any scale.  Columns are taken left to right; a
+    pivot row only adds entries to the right of its key, so one pass
+    suffices.  Returns the reduced primitive row, which is empty when
+    ``row`` lies in the span of the pivot rows.
     """
+    row = _strip_content(row)
     while True:
         col = min((c for c in row if c in pivots), default=None)
         if col is None:
@@ -153,41 +154,32 @@ def _reduce(row, pivots) -> dict[int, tuple[int, int]]:
         row = _strip_content(combo)
 
 
-def _echelon_int(rows) -> dict[int, dict[int, tuple[int, int]]]:
-    """Pivot rows of a row echelon form of primitive Gaussian-integer
-    rows, keyed by leading column."""
+def _echelon(rows) -> dict[int, dict[int, tuple[int, int]]]:
+    """Pivot rows of a row echelon form, keyed by leading column; empty
+    rows are skipped."""
     pivots = {}
     for row in rows:
-        reduced = _reduce(row, pivots)
-        if reduced:
-            pivots[min(reduced)] = reduced
+        if row:
+            reduced = _reduce(row, pivots)
+            if reduced:
+                pivots[min(reduced)] = reduced
     return pivots
 
 
-def _echelon(rows, ncols: int) -> dict[int, dict[int, tuple[int, int]]]:
-    """``_echelon_int`` of sparse {column: Scalar} rows."""
-    return _echelon_int(_int_row(row, ncols) for row in filter(None, rows))
-
-
 def rank_gaussian(rows) -> int:
-    """Exact rank of a matrix given as Gaussian-integer rows
-    {column: (re, im)}, in any order, empty rows allowed."""
-    return len(_echelon_int(map(_strip_content, rows)))
+    """Exact rank of a matrix given as Gaussian-integer rows, in any
+    order, empty rows allowed."""
+    return len(_echelon(rows))
 
 
-def rank_sparse(rows, ncols: int) -> int:
-    """Exact rank of a matrix given as sparse {column: Scalar} rows."""
-    return len(_echelon(rows, ncols))
+def rref(rows):
+    """Reduced row echelon form of Gaussian-integer rows.
 
-
-def rref(rows, ncols: int):
-    """Reduced row echelon form of sparse {column: Scalar} rows.
-
-    Returns (rows, pivot_columns): one sparse row per pivot column, in
-    increasing pivot order, with entry 1 at its pivot and 0 at every
-    other pivot column.  The input is not modified.
+    Returns (rows, pivot_columns): one sparse {column: Scalar} row per
+    pivot column, in increasing pivot order, with entry 1 at its pivot
+    and 0 at every other pivot column.  The input is not modified.
     """
-    pivots = _echelon(rows, ncols)
+    pivots = _echelon(rows)
     # right to left, so each pivot row is reduced against rows that are
     # already reduced and gains no entries in other pivot columns
     for col in sorted(pivots, reverse=True):
@@ -197,13 +189,14 @@ def rref(rows, ncols: int):
 
 
 def kernel_basis(rows, ncols: int) -> list[dict[int, Scalar]]:
-    """Basis of the right kernel {v : M v = 0} as sparse vectors.
+    """Basis of the right kernel {v : M v = 0} of Gaussian-integer rows
+    with ncols columns, as sparse {column: Scalar} vectors.
 
     One vector per free column, in increasing order: it has entry 1 at
     its free column, 0 at every other free column, and minus the
     reduced row entries at the pivot columns.
     """
-    reduced, pivots = rref(rows, ncols)
+    reduced, pivots = rref(rows)
     pivot_set = set(pivots)
     vectors = {f: {f: ONE} for f in range(ncols) if f not in pivot_set}
     for row, pivot in zip(reduced, pivots):
@@ -218,15 +211,18 @@ def inverse(matrix):
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
-    augmented = [{**dict(enumerate(row)), n + i: ONE} for i, row in enumerate(matrix)]
-    reduced, pivots = rref(augmented, 2 * n)
+    augmented = [
+        gaussian_row({**dict(enumerate(row)), n + i: ONE}, 2 * n)
+        for i, row in enumerate(matrix)
+    ]
+    reduced, pivots = rref(augmented)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [[row.get(n + j, ZERO) for j in range(n)] for row in reduced]
 
 
 class SpanBuilder:
-    """Incrementally grown row space of sparse {column: Scalar} rows.
+    """Incrementally grown row space of Gaussian-integer rows.
 
     add() reduces a row against the rows kept so far and keeps it when
     something survives; contains() tests membership the same way.  Used
@@ -234,8 +230,7 @@ class SpanBuilder:
     time and see which rows grow the span.
     """
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
+    def __init__(self):
         self._pivots: dict[int, dict[int, tuple[int, int]]] = {}
 
     @property
@@ -244,11 +239,11 @@ class SpanBuilder:
 
     def add(self, row) -> bool:
         """Add a row; True if it enlarged the span."""
-        reduced = _reduce(_int_row(row, self.ncols), self._pivots)
+        reduced = _reduce(row, self._pivots)
         if not reduced:
             return False
         self._pivots[min(reduced)] = reduced
         return True
 
     def contains(self, row) -> bool:
-        return not _reduce(_int_row(row, self.ncols), self._pivots)
+        return not _reduce(row, self._pivots)

@@ -20,7 +20,7 @@ from liecoh.lie_algebra import (
     direct_sum,
     heisenberg,
 )
-from liecoh.linalg import inverse
+from liecoh.linalg import gaussian_row, inverse
 from liecoh.scalars import ONE, ZERO, Scalar
 
 
@@ -80,9 +80,11 @@ def random_form(rng, dim, degree, complex_rate=0.25):
 
 
 def span_row(form, monomials):
-    """A form as a sparse {position: coefficient} row over an explicit
-    monomial list, the row shape SpanBuilder takes."""
-    return {monomials.index(key): value for key, value in form.terms.items()}
+    """A form as a Gaussian-integer row {position: (re, im)} over an
+    explicit monomial list, the row shape SpanBuilder takes."""
+    return gaussian_row(
+        {monomials.index(key): value for key, value in form.terms.items()}, len(monomials)
+    )
 
 
 def matmul(a, b):

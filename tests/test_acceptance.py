@@ -191,11 +191,11 @@ def test_criterion_08_closed_and_exact_two_form_structure():
 
             exact = coboundary_basis(algebra, 2)
             assert len(exact) == 2 * n + 1
-            contraction_span = SpanBuilder(len(monomials))
+            contraction_span = SpanBuilder()
             for index in range(dim):
                 contraction_span.add(span_row(contract_basis(three, index), monomials))
             assert contraction_span.rank == 2 * n + 1
-            exact_span = SpanBuilder(len(monomials))
+            exact_span = SpanBuilder()
             for w in exact:
                 exact_span.add(span_row(w, monomials))
                 assert contraction_span.contains(span_row(w, monomials))
@@ -218,11 +218,11 @@ def test_criterion_08_closed_and_exact_two_form_structure():
                         candidates.append(wedge(betas[i], betas[j]))
                     if lams[i] == lams[j]:
                         candidates.append(wedge(alphas[i], betas[j]))
-            candidate_span = SpanBuilder(len(monomials))
+            candidate_span = SpanBuilder()
             for w in candidates:
                 candidate_span.add(span_row(w, monomials))
             closed = cocycle_basis(algebra, 2)
-            closed_span = SpanBuilder(len(monomials))
+            closed_span = SpanBuilder()
             for w in closed:
                 closed_span.add(span_row(w, monomials))
                 assert candidate_span.contains(span_row(w, monomials))

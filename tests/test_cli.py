@@ -309,13 +309,34 @@ def test_heisenberg_ext_family_bounds(capsys):
         {"dim": 2, "brackets": {"0": {"1": "1"}}},
         {"dim": 2, "labels": 5},
         {"dim": True},
+        # int() reads these four as the indices 10, 2, 2 and 2
+        {"dim": 11, "brackets": [{"i": 0, "j": 1, "coeffs": {"1_0": "1"}}]},
+        {"dim": 11, "brackets": [{"i": 0, "j": 1, "coeffs": {"\u0662": "1"}}]},
+        {"dim": 11, "brackets": [{"i": 0, "j": 1, "coeffs": {" 2 ": "1"}}]},
+        {"dim": 11, "brackets": [{"i": 0, "j": 1, "coeffs": {"+2": "1"}}]},
     ],
-    ids=["bracket-without-i", "brackets-object", "labels-number", "dim-true"],
+    ids=[
+        "bracket-without-i", "brackets-object", "labels-number", "dim-true",
+        "index-underscore", "index-arabic-indic-digit", "index-spaces", "index-plus",
+    ],
 )
 def test_malformed_algebra_json_is_bad_input(capsys, tmp_path, doc):
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "betti", "--input", str(path), "--degree", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [
+    b'\xff\xfe{"dim": 2}',
+    b"[" * 200000 + b"]" * 200000,
+], ids=["invalid-utf8", "nested-200000-deep"])
+@pytest.mark.parametrize("command", [["betti", "--degree", "1"], ["verify"]], ids=["betti", "verify"])
+def test_unreadable_json_file_is_bad_input(capsys, tmp_path, command, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, *command, "--input", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
 

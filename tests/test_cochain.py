@@ -6,6 +6,7 @@ import pytest
 
 from liecoh.cochain import (
     BettiProfile,
+    CoboundaryMatrix,
     apply_coboundary,
     betti,
     betti_profile,
@@ -235,6 +236,27 @@ def test_rank_path_builds_no_scalar(monkeypatch):
     assert created == []
 
 
+def test_no_elimination_input_is_built_from_scalar_entries(monkeypatch):
+    # the Scalar entries of d_k are for export only: every rank and basis
+    # path must eliminate the integer rows of D d_k as assembled
+    rng = random.Random(64)
+    algebras = [heisenberg(2), _random_gaussian_diamond(rng), _random_dense_image(rng),
+                _random_dense_image(rng)]
+    paths = (cocycle_basis, coboundary_basis, cohomology_representatives)
+
+    def run(g):
+        return betti_profile(g), [[f(g, k) for f in paths] for k in range(g.dim + 1)]
+
+    expected = [run(g) for g in algebras]
+
+    def refuse(matrix):
+        raise AssertionError("CoboundaryMatrix.entries read outside export")
+
+    monkeypatch.setattr(CoboundaryMatrix, "entries", property(refuse))
+    for g, result in zip(algebras, expected):
+        assert run(g) == result
+
+
 def test_rank_examples():
     g = heisenberg(2)
     ranks = tuple(rank_exact(coboundary_matrix(g, k)) for k in range(6))
@@ -324,7 +346,7 @@ def test_representatives_count_and_independence():
             reps = cohomology_representatives(g, k)
             assert len(reps) == p.b[k]
             monomials = basis(g.dim, k)
-            span = SpanBuilder(len(monomials))
+            span = SpanBuilder()
             for w in coboundary_basis(g, k):
                 span.add(span_row(w, monomials))
             for w in reps:

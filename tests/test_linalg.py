@@ -1,7 +1,9 @@
 """Exact elimination, proved by certificates rather than by a second
 elimination.
 
-For every seeded matrix M with ncols columns and claimed rank r:
+The matrices are drawn as sparse Scalar rows, which the certificates
+multiply out, and handed to ``linalg`` through ``gaussian_row``.  For
+every seeded matrix M with ncols columns and claimed rank r:
 
 * each kernel vector satisfies M v = 0 by direct multiplication and has
   the identity pattern on the free columns, so the ncols - r of them are
@@ -13,11 +15,12 @@ For every seeded matrix M with ncols columns and claimed rank r:
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from liecoh import linalg
-from liecoh.linalg import SpanBuilder, inverse, kernel_basis, rank_sparse, rref
+from liecoh.linalg import SpanBuilder, gaussian_row, inverse, kernel_basis, rank_gaussian, rref
 from liecoh.scalars import ONE, ZERO, Scalar
 
 from helpers import matmul, random_invertible, random_scalar
@@ -71,6 +74,10 @@ def _cases():
 CASES = _cases()
 
 
+def _gaussian(rows, ncols):
+    return [gaussian_row(row, ncols) for row in rows]
+
+
 def _times(rows, vector):
     return [sum((value * vector.get(c, ZERO) for c, value in row.items()), ZERO) for row in rows]
 
@@ -81,10 +88,11 @@ def _identity(n):
 
 def test_kernel_vectors_annihilated():
     for rows, ncols in CASES:
-        rank = rank_sparse(rows, ncols)
-        _, pivots = rref(rows, ncols)
+        int_rows = _gaussian(rows, ncols)
+        rank = rank_gaussian(int_rows)
+        _, pivots = rref(int_rows)
         free = [c for c in range(ncols) if c not in pivots]
-        kernel = kernel_basis(rows, ncols)
+        kernel = kernel_basis(int_rows, ncols)
         assert len(kernel) == len(free) == ncols - rank
         for f, vector in zip(free, kernel):
             assert all(vector.get(g, ZERO) == (ONE if g == f else ZERO) for g in free)
@@ -94,12 +102,13 @@ def test_kernel_vectors_annihilated():
 
 def test_rank_certified_by_invertible_minor():
     for rows, ncols in CASES:
-        span = SpanBuilder(ncols)
-        kept = [row for row in rows if span.add(row)]
-        _, pivots = rref(rows, ncols)
-        rank = rank_sparse(rows, ncols)
+        int_rows = _gaussian(rows, ncols)
+        span = SpanBuilder()
+        kept = [row for row, int_row in zip(rows, int_rows) if span.add(int_row)]
+        _, pivots = rref(int_rows)
+        rank = rank_gaussian(int_rows)
         assert len(kept) == len(pivots) == span.rank == rank
-        assert all(span.contains(row) for row in rows)
+        assert all(span.contains(row) for row in int_rows)
         minor = [[row.get(c, ZERO) for c in pivots] for row in kept]
         if minor:
             assert matmul(minor, inverse(minor)) == _identity(rank)
@@ -107,30 +116,30 @@ def test_rank_certified_by_invertible_minor():
 
 def test_rref_idempotent_and_pivots_sorted():
     for rows, ncols in CASES:
-        reduced, pivots = rref(rows, ncols)
+        reduced, pivots = rref(_gaussian(rows, ncols))
         assert pivots == sorted(set(pivots))
         for row, p in zip(reduced, pivots):
             assert row[p] == ONE
             assert min(row) == p
             assert all(c == p or c not in pivots for c in row)
             assert all(row.values())
-        assert rref(reduced, ncols) == (reduced, pivots)
+        assert rref(_gaussian(reduced, ncols)) == (reduced, pivots)
 
 
-def test_rank_gaussian_agrees_with_rank_sparse():
+def test_rank_and_rref_ignore_row_scale_and_order():
     # integer rows with a common Gaussian factor left in, in shuffled
-    # order: the same rank as the Scalar rows they came from
+    # order: the same rank, which the minor certificate above proves,
+    # and the same reduced echelon form
     rng = random.Random(29)
     for rows, ncols in CASES:
-        int_rows = []
-        for row in rows:
+        int_rows = _gaussian(rows, ncols)
+        scaled = []
+        for row in int_rows:
             fa, fb = rng.choice([(1, 0), (3, 0), (2, 2), (-1, 5), (0, -7)])
-            int_rows.append({
-                c: (fa * a - fb * b, fa * b + fb * a)
-                for c, (a, b) in linalg._int_row(row, ncols).items()
-            })
-        rng.shuffle(int_rows)
-        assert linalg.rank_gaussian(int_rows) == rank_sparse(rows, ncols)
+            scaled.append({c: (fa * a - fb * b, fa * b + fb * a) for c, (a, b) in row.items()})
+        rng.shuffle(scaled)
+        assert rank_gaussian(scaled) == rank_gaussian(int_rows)
+        assert rref(scaled) == rref(int_rows)
 
 
 def test_pivot_rows_stay_within_the_hadamard_bound():
@@ -142,27 +151,36 @@ def test_pivot_rows_stay_within_the_hadamard_bound():
         rows = _random_rows(rng, 10, 10, 1.0, 0.5)
         bound = 1
         for row in rows:
-            scaled = linalg._int_row(row, 10)
+            scaled = gaussian_row(row, 10)
             bound *= 1 + sum(a * a + b * b for a, b in scaled.values())
-        pivots = linalg._echelon(rows, 10)
+        pivots = linalg._echelon(_gaussian(rows, 10))
         assert len(pivots) == 10
         for row in pivots.values():
             assert all(a * a + b * b <= bound for a, b in row.values())
 
 
 def test_rank_known_values():
-    rows = [{0: Scalar(1), 1: Scalar(2)}, {0: Scalar(2), 1: Scalar(4)}]
-    assert rank_sparse(rows, 2) == 1
-    assert rank_sparse([{}, {}], 2) == 0
-    assert rank_sparse([], 5) == 0
+    assert rank_gaussian([{0: (1, 0), 1: (2, 0)}, {0: (2, 0), 1: (4, 0)}]) == 1
+    assert rank_gaussian([{}, {}]) == 0
+    assert rank_gaussian([]) == 0
     # explicit zero entries count as absent
-    assert rank_sparse([{0: ZERO, 1: ONE}, {1: Scalar(3)}], 2) == 1
+    rows = [{0: ZERO, 1: ONE}, {1: Scalar(3)}]
+    assert _gaussian(rows, 2) == [{1: (1, 0)}, {1: (3, 0)}]
+    assert rank_gaussian(_gaussian(rows, 2)) == 1
 
 
 def test_rank_gaussian_integers():
     # rows are complex multiples of each other, rank 1
-    i = Scalar(0, 1)
-    assert rank_sparse([{0: ONE, 1: i}, {0: i, 1: Scalar(-1)}], 2) == 1
+    assert rank_gaussian([{0: (1, 0), 1: (0, 1)}, {0: (0, 1), 1: (-1, 0)}]) == 1
+
+
+def test_gaussian_row_clears_denominators():
+    row = {0: Scalar(Fraction(1, 2)), 2: Scalar(Fraction(1, 3), Fraction(-1, 4)), 1: ZERO}
+    assert gaussian_row(row, 3) == {0: (6, 0), 2: (4, -3)}
+    assert gaussian_row({1: 2}, 2) == {1: (2, 0)}
+    for col in (-1, 3):
+        with pytest.raises(ValueError):
+            gaussian_row({col: ONE}, 3)
 
 
 def test_kernel_of_zero_map_is_everything():
@@ -190,13 +208,13 @@ def test_span_builder_tracks_rank():
     rng = random.Random(5)
     for _ in range(30):
         ncols = rng.randint(1, 6)
-        sb = SpanBuilder(ncols)
+        sb = SpanBuilder()
         collected = []
         for _ in range(rng.randint(0, 10)):
-            v = _random_rows(rng, 1, ncols, 0.7, 0.25)[0]
+            v = gaussian_row(_random_rows(rng, 1, ncols, 0.7, 0.25)[0], ncols)
             grew = sb.add(v)
             collected.append(v)
-            assert sb.rank == rank_sparse(collected, ncols)
+            assert sb.rank == rank_gaussian(collected)
             assert sb.contains(v)
             if not grew:
                 # adding again never helps
@@ -204,11 +222,9 @@ def test_span_builder_tracks_rank():
 
 
 def test_span_builder_contains_combinations():
-    sb = SpanBuilder(3)
-    sb.add({0: ONE, 2: ONE})
-    sb.add({1: ONE, 2: ONE})
-    assert sb.contains({0: ONE, 1: ONE, 2: Scalar(2)})
-    assert not sb.contains({2: ONE})
+    sb = SpanBuilder()
+    sb.add({0: (1, 0), 2: (1, 0)})
+    sb.add({1: (0, 2), 2: (0, 2)})
+    assert sb.contains({0: (3, 1), 1: (3, 1), 2: (6, 2)})
+    assert not sb.contains({2: (1, 0)})
     assert sb.contains({})
-    with pytest.raises(ValueError):
-        sb.add({3: ONE})

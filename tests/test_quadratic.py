@@ -270,10 +270,10 @@ def test_exact_two_forms_are_contractions_of_three_form():
         dim = g.dim
         I = structure.three_form()
         monomials = basis(dim, 2)
-        contraction_span = SpanBuilder(len(monomials))
+        contraction_span = SpanBuilder()
         for index in range(dim):
             contraction_span.add(span_row(contract_basis(I, index), monomials))
-        exact_span = SpanBuilder(len(monomials))
+        exact_span = SpanBuilder()
         exact = coboundary_basis(g, 2)
         for w in exact:
             exact_span.add(span_row(w, monomials))
@@ -314,11 +314,11 @@ def test_closed_two_forms_structure():
                 if lams[i] == lams[j]:
                     candidates.append(wedge(alphas[i], betas[j]))
         monomials = basis(dim, 2)
-        candidate_span = SpanBuilder(len(monomials))
+        candidate_span = SpanBuilder()
         for w in candidates:
             assert apply_coboundary(g, w).is_zero()
             candidate_span.add(span_row(w, monomials))
-        closed_span = SpanBuilder(len(monomials))
+        closed_span = SpanBuilder()
         closed = cocycle_basis(g, 2)
         for w in closed:
             closed_span.add(span_row(w, monomials))
