@@ -16,9 +16,11 @@ or ``--output``.  ``profile --format json`` documents are accepted back
 by ``verify --input`` for an end-to-end recomputation check.
 
 Exit codes: 0 success, 1 verification found a counterexample, 2 bad
-input or I/O trouble.  The verify sweep's random seed comes from
-``--seed``, else the LIECOH_SEED environment variable, else a fixed
-default, so runs are reproducible.
+input or I/O trouble.  A command whose cochain spaces would exceed
+MAX_COCHAIN_DIM monomials is bad input, refused before it builds them.
+The verify sweep's random seed comes from ``--seed``, else the
+LIECOH_SEED environment variable, else a fixed default, so runs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from . import closed_forms, cochain, exterior, lie_algebra
 from .errors import BadInput, IOFailure, LieCohError, UnknownFamily, ZeroLambda
@@ -40,6 +43,9 @@ from .scalars import Scalar, parse_scalar
 __all__ = ["main", "RunConfig"]
 
 DEFAULT_SEED = 171717
+# the largest cochain space a run may touch; the biggest one the tests
+# and the benchmark use is C(165, 2) = 13530
+MAX_COCHAIN_DIM = 10**6
 FAMILIES = ("aff", "abelian", "heisenberg", "aff-ext", "heisenberg-ext", "diamond")
 
 
@@ -132,7 +138,9 @@ def _read_json(path: str):
             return json.load(handle)
     except OSError as err:
         raise IOFailure(f"cannot read {path}: {err}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+    except ValueError as err:
+        # JSONDecodeError, UnicodeDecodeError and a number over the
+        # interpreter's integer digit limit are all ValueErrors
         raise BadInput(f"{path} is not valid JSON: {err}") from None
     except RecursionError:
         raise BadInput(f"{path} is nested too deeply to read") from None
@@ -148,6 +156,21 @@ def _load_algebra(config: RunConfig) -> tuple[lie_algebra.LieAlgebra, str]:
     except (LieCohError, ValueError) as err:
         raise BadInput(f"{path}: {err}") from None
     return algebra, f"algebra from {path}"
+
+
+def _check_size(n: int, degrees) -> None:
+    """Refuse degrees whose cochain space has over MAX_COCHAIN_DIM monomials
+    before anything sized by n or C(n, k) is built; degrees outside 0..n
+    are left to the engine, which names them."""
+    for k in degrees:
+        j = min(k, n - k)
+        # C(n, j) >= C(2j, j) > MAX_COCHAIN_DIM once j > 20, so no huge
+        # binomial is ever formed
+        if j >= 0 and (j > 20 or comb(n, j) > MAX_COCHAIN_DIM):
+            raise BadInput(
+                f"degree-{k} cochains of a dimension-{n} algebra number more than "
+                f"{MAX_COCHAIN_DIM} monomials; refusing to build them"
+            )
 
 
 def _names_for(algebra: lie_algebra.LieAlgebra) -> list[str]:
@@ -188,6 +211,7 @@ _PROFILE_HEADERS = ("degree", "cochain_dim", "rank_below", "rank", "betti")
 
 def _cmd_profile(config: RunConfig) -> tuple[str, int]:
     algebra, title = _load_algebra(config)
+    _check_size(algebra.dim, [algebra.dim // 2])
     profile = cochain.betti_profile(algebra)
     rows = _profile_rows(profile)
     if config.fmt == "json":
@@ -211,6 +235,7 @@ def _cmd_profile(config: RunConfig) -> tuple[str, int]:
 def _cmd_betti(config: RunConfig) -> tuple[str, int]:
     algebra, title = _load_algebra(config)
     k = config.degree
+    _check_size(algebra.dim, [k - 1, k, k + 1])
     value = cochain.betti(algebra, k)
     if config.fmt == "json":
         doc = {
@@ -228,8 +253,9 @@ def _cmd_betti(config: RunConfig) -> tuple[str, int]:
 def _cmd_cocycles(config: RunConfig) -> tuple[str, int]:
     algebra, title = _load_algebra(config)
     k = config.degree
-    names = _names_for(algebra)
+    _check_size(algebra.dim, [k - 1, k, k + 1])
     representatives = cochain.cohomology_representatives(algebra, k)
+    names = _names_for(algebra)
     rendered = [exterior.format_form(w, names) for w in representatives]
     if config.fmt == "json":
         doc = {
@@ -250,6 +276,7 @@ def _cmd_cocycles(config: RunConfig) -> tuple[str, int]:
 
 def _cmd_export_matrix(config: RunConfig) -> tuple[str, int]:
     algebra, _ = _load_algebra(config)
+    _check_size(algebra.dim, [config.degree, config.degree + 1])
     matrix = cochain.coboundary_matrix(algebra, config.degree)
     return matrix.to_coordinate_text(), 0
 
@@ -331,6 +358,7 @@ def _verify_profile_doc(path: str) -> tuple[str, int]:
             isinstance(doc[key], list) and all(type(v) is int for v in doc[key])
         ):
             raise BadInput(f"{path}: {key!r} must be a list of integers, got {doc[key]!r}")
+    _check_size(algebra.dim, [algebra.dim // 2])
     profile = cochain.betti_profile(algebra)
     stored = doc["betti"]
     if stored != list(profile.b):

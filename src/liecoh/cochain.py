@@ -16,9 +16,9 @@ through  b_k = C(n, k) - rank d_{k-1} - rank d_k  with the out-of-range
 ranks defined to be zero.
 
 ``coboundary_matrix`` assembles that matrix in Gaussian integers.  It
-multiplies the structure constants by D, the lcm of all their
-denominators, into a table of D d(e_l*), walks the degree-k monomials
-as bitmasks and writes the rows of D d_k as ``{column: (re, im)}``.
+walks the degree-k monomials as bitmasks through the algebra's table of
+D d(e_l*), D the lcm of the structure constants' denominators, and
+writes the rows of D d_k as ``{column: (re, im)}``.
 Scaling by D changes no rank, kernel, echelon form or span, so every
 rank and basis function hands those rows to ``linalg`` as they are;
 Scalars appear only in the forms that come out and in the ``entries``
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 
 from . import linalg
 from .errors import DegreeOutOfRange, DimensionMismatch
@@ -147,63 +147,17 @@ class CoboundaryMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _scaled_dual_table(
-    algebra: LieAlgebra,
-) -> tuple[int, list[list[tuple[int, int, int, int]]]]:
-    """D and, per basis index l, the terms of D d(e_l*).
-
-    D is the lcm of the denominators of every structure constant.  A
-    term of d(e_l*) = -sum c^l_ab e_a* ^ e_b* is kept as (pair,
-    between, re, im): the bitmask of {a, b}, the bitmask of a..b-1 and
-    the Gaussian integer -D c^l_ab.
-    """
-    denominator = 1
-    for vector in algebra.brackets.values():
-        for c in vector.values():
-            denominator = lcm(denominator, c.re.denominator, c.im.denominator)
-    table: list[list[tuple[int, int, int, int]]] = [[] for _ in range(algebra.dim)]
-    for (a, b), vector in algebra.brackets.items():
-        pair = (1 << a) | (1 << b)
-        between = (1 << b) - (1 << a)
-        for l, c in vector.items():
-            table[l].append((
-                pair,
-                between,
-                -c.re.numerator * (denominator // c.re.denominator),
-                -c.im.numerator * (denominator // c.im.denominator),
-            ))
-    return denominator, table
-
-
 def coboundary_matrix(algebra: LieAlgebra, k: int) -> CoboundaryMatrix:
     """Matrix of d on degree-k cochains, assembled as D d_k in Gaussian
     integers."""
     n = algebra.dim
     if not (0 <= k <= n):
         raise DegreeOutOfRange(f"degree {k} outside 0..{n}")
-    denominator, table = _scaled_dual_table(algebra)
     bits = [1 << i for i in range(n)]
     row_of = {mask: r for r, mask in enumerate(map(sum, combinations(bits, k + 1)))}
     rows: dict[int, dict[int, tuple[int, int]]] = {}
     sources = zip(combinations(range(n), k), map(sum, combinations(bits, k)))
-    for c, (key, mask) in enumerate(sources):
-        image: dict[int, tuple[int, int]] = {}
-        for position, l in enumerate(key):
-            rest = mask ^ bits[l]
-            for pair, between, re, im in table[l]:
-                if rest & pair:
-                    continue
-                # (-1)**position walks d past the earlier one-forms; the
-                # rest indices that a and b jump past to reach their
-                # places count twice below a, so only those in a..b-1
-                # change the parity
-                if (position + (rest & between).bit_count()) & 1:
-                    re, im = -re, -im
-                target = rest | pair
-                if target in image:
-                    old_re, old_im = image[target]
-                    re, im = old_re + re, old_im + im
-                image[target] = (re, im)
+    for c, image in enumerate(algebra._expand_d(sources)):
         for target, value in image.items():
             if value != (0, 0):
                 rows.setdefault(row_of[target], {})[c] = value
@@ -212,7 +166,7 @@ def coboundary_matrix(algebra: LieAlgebra, k: int) -> CoboundaryMatrix:
         rows=comb(n, k + 1),
         cols=comb(n, k),
         int_rows=dict(sorted(rows.items())),
-        denominator=denominator,
+        denominator=algebra._denominator,
     )
 
 

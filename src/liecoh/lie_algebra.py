@@ -2,8 +2,13 @@
 
 An algebra is a dimension n, a sparse bracket table storing [e_i, e_j]
 for i < j as a coefficient vector over the basis, and optional basis
-labels.  Construction always checks the Jacobi identity on every basis
-triple, so an instance that exists is a Lie algebra.
+labels.  Construction scales the structure constants by D, the lcm of
+their denominators, into the Gaussian-integer terms of D d(e_l*) that
+the cochain engine assembles from.  The coefficient of e_i*^e_j*^e_k*
+in d(d e_l*) is entry l of [[e_i,e_j],e_k] + [[e_j,e_k],e_i] +
+[[e_k,e_i],e_j], so construction checks the Jacobi identity as d∘d = 0
+on that table, at a cost set by the brackets and not by n.  An instance
+that exists is a Lie algebra.
 
 Families used throughout:
 
@@ -21,6 +26,9 @@ Families used throughout:
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .errors import (
@@ -56,12 +64,13 @@ class LieAlgebra:
     is recovered by antisymmetry.
     """
 
-    __slots__ = ("dim", "brackets", "labels")
+    __slots__ = ("dim", "brackets", "labels", "_denominator", "_dual")
 
     def __init__(self, dim: int, brackets, labels=None):
         if not isinstance(dim, int) or dim < 0:
             raise DimensionMismatch(f"dimension must be a non-negative integer, got {dim!r}")
         table: dict[tuple[int, int], dict[int, Scalar]] = {}
+        denominator = 1
         for (i, j), vector in brackets.items():
             if not (0 <= i < j < dim):
                 raise IndexOutOfRange(
@@ -76,10 +85,23 @@ class LieAlgebra:
                 coeff = Scalar.coerce(value)
                 if coeff:
                     clean[l] = coeff
+                    denominator = lcm(denominator, coeff.re.denominator, coeff.im.denominator)
             if clean:
                 table[(i, j)] = clean
+        # a term of D d(e_l*) is (pair, between, re, im): the bitmask of
+        # {a, b}, the bitmask of a..b-1 and the Gaussian integer -D c^l_ab
+        dual: dict[int, list[tuple[int, int, int, int]]] = {}
+        for (a, b), vector in table.items():
+            pair = (1 << a) | (1 << b)
+            between = (1 << b) - (1 << a)
+            for l, c in vector.items():
+                re = -c.re.numerator * (denominator // c.re.denominator)
+                im = -c.im.numerator * (denominator // c.im.denominator)
+                dual.setdefault(l, []).append((pair, between, re, im))
         self.dim = dim
         self.brackets = table
+        self._denominator = denominator
+        self._dual = dual
         if labels is not None:
             labels = tuple(str(name) for name in labels)
             if len(labels) != dim:
@@ -116,40 +138,54 @@ class LieAlgebra:
                     out[l] = out[l] + factor * c
         return out
 
-    def _bracket_sparse(self, vec: dict[int, Scalar], k: int) -> dict[int, Scalar]:
-        # [v, e_k] for sparse v, used by the Jacobi check
-        out: dict[int, Scalar] = {}
-        for l, coeff in vec.items():
-            for target, c in self.bracket_basis(l, k).items():
-                value = out.get(target, ZERO) + coeff * c
-                if value:
-                    out[target] = value
-                elif target in out:
-                    del out[target]
-        return out
+    def _expand_d(self, monomials):
+        """Yield D d(w) as {mask: (re, im)}, zeros kept, for each monomial
+        w given as (key, mask): its increasing indices and their bitmask."""
+        dual = self._dual
+        for key, mask in monomials:
+            image: dict[int, tuple[int, int]] = {}
+            for position, l in enumerate(key):
+                if l not in dual:
+                    continue
+                rest = mask ^ (1 << l)
+                for pair, between, re, im in dual[l]:
+                    if rest & pair:
+                        continue
+                    # (-1)**position walks d past the earlier one-forms; the
+                    # rest indices that a and b jump past to reach their
+                    # places count twice below a, so only those in a..b-1
+                    # change the parity
+                    if (position + (rest & between).bit_count()) & 1:
+                        re, im = -re, -im
+                    target = rest | pair
+                    if target in image:
+                        old_re, old_im = image[target]
+                        re, im = old_re + re, old_im + im
+                    image[target] = (re, im)
+            yield image
 
     def _check_jacobi(self) -> None:
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                vij = self.brackets.get((i, j))
-                for k in range(j + 1, self.dim):
-                    residual: dict[int, Scalar] = {}
-                    for vec, arg in (
-                        (vij, k),
-                        (self.brackets.get((j, k)), i),
-                        ({l: -c for l, c in self.brackets.get((i, k), {}).items()}, j),
-                    ):
-                        if not vec:
-                            continue
-                        for target, c in self._bracket_sparse(vec, arg).items():
-                            value = residual.get(target, ZERO) + c
-                            if value:
-                                residual[target] = value
-                            elif target in residual:
-                                del residual[target]
-                    if residual:
-                        dense = [residual.get(l, ZERO) for l in range(self.dim)]
-                        raise JacobiViolation((i, j, k), dense)
+        # D**2 d(d e_l*) sums D d(e_a* ^ e_b*) times the terms -D c^l_ab of
+        # D d(e_l*); failures maps a triple's mask to {l: nonzero sum}
+        masks = [(1 << a) | (1 << b) for a, b in self.brackets]
+        images = dict(zip(masks, self._expand_d(zip(self.brackets, masks))))
+        failures: dict[int, dict[int, tuple[int, int]]] = {}
+        for l, terms in self._dual.items():
+            total: dict[int, tuple[int, int]] = {}
+            for pair, _, re, im in terms:
+                for target, (x, y) in images[pair].items():
+                    old_re, old_im = total.get(target, (0, 0))
+                    total[target] = (old_re + re * x - im * y, old_im + re * y + im * x)
+            for target, value in total.items():
+                if value != (0, 0):
+                    failures.setdefault(target, {})[l] = value
+        if failures:
+            first = min(failures, key=_indices)
+            scale = self._denominator ** 2
+            residual = [ZERO] * self.dim
+            for l, (re, im) in failures[first].items():
+                residual[l] = Scalar(Fraction(re, scale), Fraction(im, scale))
+            raise JacobiViolation(_indices(first), residual)
 
     def label(self, index: int) -> str:
         if self.labels is not None:
@@ -167,6 +203,15 @@ class LieAlgebra:
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim={self.dim}, pairs={len(self.brackets)})"
+
+
+def _indices(mask: int) -> tuple[int, ...]:
+    """The set bits of a monomial bitmask, in increasing order."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(out)
 
 
 def from_structure_constants(dim: int, brackets, labels=None) -> LieAlgebra:

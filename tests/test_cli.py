@@ -1,7 +1,12 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import liecoh
 from liecoh.cli import DEFAULT_SEED, RunConfig, _build_family, main
 from liecoh.errors import BadInput, UnknownFamily
 from liecoh.lie_algebra import algebra_to_json, heisenberg
@@ -331,7 +336,8 @@ def test_malformed_algebra_json_is_bad_input(capsys, tmp_path, doc):
 @pytest.mark.parametrize("content", [
     b'\xff\xfe{"dim": 2}',
     b"[" * 200000 + b"]" * 200000,
-], ids=["invalid-utf8", "nested-200000-deep"])
+    b'{"dim": ' + b"1" * 5000 + b"}",
+], ids=["invalid-utf8", "nested-200000-deep", "number-5000-digits"])
 @pytest.mark.parametrize("command", [["betti", "--degree", "1"], ["verify"]], ids=["betti", "verify"])
 def test_unreadable_json_file_is_bad_input(capsys, tmp_path, command, content):
     path = tmp_path / "input.json"
@@ -365,3 +371,41 @@ def test_verify_rejects_stored_vectors_that_are_not_integer_lists(capsys, tmp_pa
     code, out, err = run(capsys, "verify", "--input", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error:") and "list of integers" in err
+
+
+def _limit_address_space():
+    # far above what a refused run needs, far below anything sized by 10**9
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("command", [
+    ["betti", "--degree", "1"],
+    ["betti", "--degree", "500000000"],
+    ["profile"],
+    ["cocycles", "--degree", "2"],
+    ["export-matrix", "--degree", "0"],
+    ["verify"],
+], ids=["betti", "betti-middle-degree", "profile", "cocycles", "export-matrix", "verify"])
+def test_huge_dimension_is_refused_up_front(tmp_path, command):
+    algebra = {"dim": 10**9}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"algebra": algebra, "betti": [1]} if command == ["verify"] else algebra))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(liecoh.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-m", "liecoh.cli", *command, "--input", str(path)],
+        capture_output=True, text=True, timeout=60, env=env, preexec_fn=_limit_address_space,
+    )
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("error:") and "Traceback" not in result.stderr
+
+
+def test_cochain_size_guard_boundary(capsys, tmp_path):
+    # C(165, 2) = 13530 rows is the largest space the benchmark builds;
+    # C(1415, 2) = 1000405 is the first degree-2 space over the limit
+    path = tmp_path / "abelian.json"
+    path.write_text(json.dumps({"dim": 165}))
+    assert run(capsys, "betti", "--input", str(path), "--degree", "1") == (0, "165\n", "")
+    path.write_text(json.dumps({"dim": 1415}))
+    code, out, err = run(capsys, "betti", "--input", str(path), "--degree", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: degree-2 cochains") and "1000000" in err

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -26,7 +27,7 @@ from liecoh.lie_algebra import (
 from liecoh.linalg import inverse
 from liecoh.scalars import ONE, ZERO, Scalar
 
-from helpers import random_algebra, random_invertible
+from helpers import matmul, random_algebra, random_invertible, random_scalar
 
 
 def test_aff_brackets():
@@ -71,6 +72,55 @@ def test_jacobi_violation_reported():
     assert exc.value.triple == (0, 1, 2)
     assert exc.value.residual == [ZERO, ZERO, -ONE]
     assert "(0, 1, 2)" in str(exc.value)
+
+
+def _cyclic_sum_violation(g):
+    """The first basis triple whose [[x,y],z] + [[y,z],x] + [[z,x],y] is
+    nonzero, evaluated with bracket_vectors, or None."""
+    e = [[ONE if a == b else ZERO for b in range(g.dim)] for a in range(g.dim)]
+    br = g.bracket_vectors
+    for i, j, k in combinations(range(g.dim), 3):
+        terms = br(br(e[i], e[j]), e[k]), br(br(e[j], e[k]), e[i]), br(br(e[k], e[i]), e[j])
+        residual = [x + y + z for x, y, z in zip(*terms)]
+        if any(residual):
+            return JacobiViolation((i, j, k), residual)
+    return None
+
+
+def _report(violation):
+    return None if violation is None else (violation.triple, violation.residual, str(violation))
+
+
+def test_jacobi_check_agrees_with_cyclic_sum_of_brackets(monkeypatch):
+    # random sparse Gaussian-rational tables, most of them not Lie
+    # algebras, and change_basis images under dense matrices, which
+    # always are
+    rng = random.Random(2024)
+    cases = []
+    for _ in range(300):
+        dim = rng.randint(1, 7)
+        cases.append((dim, {
+            (i, j): {l: random_scalar(rng) for l in range(dim) if rng.random() < 0.4}
+            for i, j in combinations(range(dim), 2)
+            if rng.random() < 0.6
+        }))
+    for base in (heisenberg(3), diamond([1, Scalar(0, 1)])[0], direct_sum(aff_r(), heisenberg(1))):
+        for _ in range(2):
+            S = matmul(random_invertible(rng, base.dim), random_invertible(rng, base.dim))
+            image = change_basis(base, S, inverse(S))
+            cases.append((image.dim, image.brackets))
+    # the reference needs bracket_vectors on tables the check refuses
+    with monkeypatch.context() as patch:
+        patch.setattr(LieAlgebra, "_check_jacobi", lambda self: None)
+        expected = [_cyclic_sum_violation(LieAlgebra(dim, table)) for dim, table in cases]
+    assert sum(want is not None for want in expected) > len(cases) // 2
+    for (dim, table), want in zip(cases, expected):
+        try:
+            LieAlgebra(dim, table)
+            got = None
+        except JacobiViolation as err:
+            got = err
+        assert _report(got) == _report(want), (dim, table)
 
 
 def test_structure_constant_input_errors():
