@@ -98,37 +98,46 @@ def _need(value, flag: str, family: str):
     return value
 
 
-def _build_family(config: RunConfig) -> tuple[lie_algebra.LieAlgebra, str]:
+def _build_family(config: RunConfig):
+    """(dimension, builder, title) of a built-in family.  The dimension
+    comes from the parameters alone, so it can be checked before the
+    builder makes the algebra."""
     name = config.family
     if name == "aff":
-        return lie_algebra.aff_r(), "aff"
+        return 2, lie_algebra.aff_r, "aff"
     if name == "abelian":
         d = _need(config.d, "--d", name)
-        return lie_algebra.abelian(d), f"abelian(d={d})"
+        return d, lambda: lie_algebra.abelian(d), f"abelian(d={d})"
     if name == "heisenberg":
         m = _need(config.m, "--m", name)
-        return lie_algebra.heisenberg(m), f"heisenberg(m={m})"
+        return 2 * m + 1, lambda: lie_algebra.heisenberg(m), f"heisenberg(m={m})"
     if name == "aff-ext":
         n = _need(config.n, "--n", name)
         if n < 2:
             raise BadInput("aff-ext needs --n >= 2")
-        algebra = lie_algebra.direct_sum(lie_algebra.aff_r(), lie_algebra.abelian(n - 2))
-        return algebra, f"aff-ext(n={n})"
+
+        def build():
+            return lie_algebra.direct_sum(lie_algebra.aff_r(), lie_algebra.abelian(n - 2))
+
+        return n, build, f"aff-ext(n={n})"
     if name == "heisenberg-ext":
         m = _need(config.m, "--m", name)
         n = _need(config.n, "--n", name)
         if n < 2 * m + 1:
             raise BadInput("heisenberg-ext needs --n >= 2m+1")
-        algebra = lie_algebra.direct_sum(
-            lie_algebra.heisenberg(m), lie_algebra.abelian(n - 2 * m - 1)
-        )
-        return algebra, f"heisenberg-ext(m={m}, n={n})"
+
+        def build():
+            return lie_algebra.direct_sum(
+                lie_algebra.heisenberg(m), lie_algebra.abelian(n - 2 * m - 1)
+            )
+
+        return n, build, f"heisenberg-ext(m={m}, n={n})"
     if name == "diamond":
-        if not config.lam:
+        lam = config.lam
+        if not lam:
             raise BadInput("family 'diamond' needs at least one --lambda")
-        algebra, _ = lie_algebra.diamond(config.lam)
-        lam_text = ",".join(str(v) for v in config.lam)
-        return algebra, f"diamond({lam_text})"
+        title = "diamond(" + ",".join(str(v) for v in lam) + ")"
+        return 2 * len(lam) + 2, lambda: lie_algebra.diamond(lam)[0], title
     raise UnknownFamily(f"unknown family {name!r}; choose from {', '.join(FAMILIES)}")
 
 
@@ -146,16 +155,25 @@ def _read_json(path: str):
         raise BadInput(f"{path} is nested too deeply to read") from None
 
 
-def _load_algebra(config: RunConfig) -> tuple[lie_algebra.LieAlgebra, str]:
+def _load_algebra(config: RunConfig, degrees) -> tuple[lie_algebra.LieAlgebra, str]:
+    """The chosen algebra and its title, after ``_check_size`` has passed
+    the dimension n it declares at ``degrees(n)``."""
     if config.family is not None:
-        return _build_family(config)
+        n, build, title = _build_family(config)
+        _check_size(n, degrees(n))
+        return build(), title
     path = config.input_path
-    data = _read_json(path)
+    return _algebra_from_doc(path, _read_json(path), degrees), f"algebra from {path}"
+
+
+def _algebra_from_doc(path: str, data, degrees) -> lie_algebra.LieAlgebra:
+    # a 'dim' that is not an integer is left to algebra_from_json to name
+    if isinstance(data, dict) and type(data.get("dim")) is int:
+        _check_size(data["dim"], degrees(data["dim"]))
     try:
-        algebra = lie_algebra.algebra_from_json(data)
+        return lie_algebra.algebra_from_json(data)
     except (LieCohError, ValueError) as err:
         raise BadInput(f"{path}: {err}") from None
-    return algebra, f"algebra from {path}"
 
 
 def _check_size(n: int, degrees) -> None:
@@ -171,6 +189,11 @@ def _check_size(n: int, degrees) -> None:
                 f"degree-{k} cochains of a dimension-{n} algebra number more than "
                 f"{MAX_COCHAIN_DIM} monomials; refusing to build them"
             )
+
+
+def _middle_degree(n: int) -> list[int]:
+    # the largest cochain space of a whole profile
+    return [n // 2]
 
 
 def _names_for(algebra: lie_algebra.LieAlgebra) -> list[str]:
@@ -210,8 +233,7 @@ _PROFILE_HEADERS = ("degree", "cochain_dim", "rank_below", "rank", "betti")
 
 
 def _cmd_profile(config: RunConfig) -> tuple[str, int]:
-    algebra, title = _load_algebra(config)
-    _check_size(algebra.dim, [algebra.dim // 2])
+    algebra, title = _load_algebra(config, _middle_degree)
     profile = cochain.betti_profile(algebra)
     rows = _profile_rows(profile)
     if config.fmt == "json":
@@ -233,9 +255,8 @@ def _cmd_profile(config: RunConfig) -> tuple[str, int]:
 
 
 def _cmd_betti(config: RunConfig) -> tuple[str, int]:
-    algebra, title = _load_algebra(config)
     k = config.degree
-    _check_size(algebra.dim, [k - 1, k, k + 1])
+    algebra, title = _load_algebra(config, lambda n: [k - 1, k, k + 1])
     value = cochain.betti(algebra, k)
     if config.fmt == "json":
         doc = {
@@ -251,9 +272,8 @@ def _cmd_betti(config: RunConfig) -> tuple[str, int]:
 
 
 def _cmd_cocycles(config: RunConfig) -> tuple[str, int]:
-    algebra, title = _load_algebra(config)
     k = config.degree
-    _check_size(algebra.dim, [k - 1, k, k + 1])
+    algebra, title = _load_algebra(config, lambda n: [k - 1, k, k + 1])
     representatives = cochain.cohomology_representatives(algebra, k)
     names = _names_for(algebra)
     rendered = [exterior.format_form(w, names) for w in representatives]
@@ -275,9 +295,9 @@ def _cmd_cocycles(config: RunConfig) -> tuple[str, int]:
 
 
 def _cmd_export_matrix(config: RunConfig) -> tuple[str, int]:
-    algebra, _ = _load_algebra(config)
-    _check_size(algebra.dim, [config.degree, config.degree + 1])
-    matrix = cochain.coboundary_matrix(algebra, config.degree)
+    k = config.degree
+    algebra, _ = _load_algebra(config, lambda n: [k, k + 1])
+    matrix = cochain.coboundary_matrix(algebra, k)
     return matrix.to_coordinate_text(), 0
 
 
@@ -348,17 +368,13 @@ def _verify_profile_doc(path: str) -> tuple[str, int]:
     doc = _read_json(path)
     if not isinstance(doc, dict) or "algebra" not in doc or "betti" not in doc:
         raise BadInput(f"{path} is not a profile document (needs 'algebra' and 'betti')")
-    try:
-        algebra = lie_algebra.algebra_from_json(doc["algebra"])
-    except (LieCohError, ValueError) as err:
-        raise BadInput(f"{path}: {err}") from None
     for key in ("betti", "ranks"):
         # type() rather than isinstance, since JSON true is a bool and so an int
         if key in doc and not (
             isinstance(doc[key], list) and all(type(v) is int for v in doc[key])
         ):
             raise BadInput(f"{path}: {key!r} must be a list of integers, got {doc[key]!r}")
-    _check_size(algebra.dim, [algebra.dim // 2])
+    algebra = _algebra_from_doc(path, doc["algebra"], _middle_degree)
     profile = cochain.betti_profile(algebra)
     stored = doc["betti"]
     if stored != list(profile.b):

@@ -15,14 +15,16 @@ C(n, k+1) rows and C(n, k) columns; its exact rank gives Betti numbers
 through  b_k = C(n, k) - rank d_{k-1} - rank d_k  with the out-of-range
 ranks defined to be zero.
 
-``coboundary_matrix`` assembles that matrix in Gaussian integers.  It
-walks the degree-k monomials as bitmasks through the algebra's table of
-D d(e_l*), D the lcm of the structure constants' denominators, and
-writes the rows of D d_k as ``{column: (re, im)}``.
-Scaling by D changes no rank, kernel, echelon form or span, so every
-rank and basis function hands those rows to ``linalg`` as they are;
-Scalars appear only in the forms that come out and in the ``entries``
-of d_k that ``export-matrix`` prints.
+``_images`` walks the degree-k monomials in lexicographic order
+through the algebra's table of D d(e_l*), D the lcm of the structure
+constants' denominators, and yields each image D d(w) as nonzero
+Gaussian integers ``{mask: (re, im)}`` keyed by target bitmask.
+``coboundary_matrix`` files them into the rows of D d_k under those
+masks, and the exact forms are the images that grow a span.  Neither
+D nor the row keys change a rank, kernel or span, so ``linalg`` takes
+the integer rows as they are; Scalars appear only in the forms that
+come out and in the lexicographically numbered ``entries`` of d_k that
+``export-matrix`` prints.
 
 ``apply_coboundary`` expands the antiderivation on an ``ExteriorForm``
 with Scalar arithmetic.  It shares no code with the assembly and is the
@@ -40,7 +42,7 @@ from math import comb
 from . import linalg
 from .errors import DegreeOutOfRange, DimensionMismatch
 from .exterior import ExteriorForm, basis
-from .lie_algebra import LieAlgebra
+from .lie_algebra import LieAlgebra, _indices
 from .scalars import ZERO, Scalar
 
 __all__ = [
@@ -112,28 +114,37 @@ def apply_coboundary(algebra: LieAlgebra, w: ExteriorForm) -> ExteriorForm:
 
 @dataclass(frozen=True)
 class CoboundaryMatrix:
-    """Sparse matrix of d in one degree, in lexicographic monomial order.
+    """Sparse matrix of d on the degree-k cochains of a dim-n algebra.
 
-    Row indexes the degree k+1 monomials, column the degree k monomials.
-    ``int_rows`` maps a row to its nonzero Gaussian-integer entries
-    ``{column: (re, im)}`` of D d_k, where D is ``denominator``, in
-    increasing row order; rows without entries are absent.  ``entries``
-    maps (row, column) to the nonzero Scalar entry of d_k; it is built
-    on first read, for export only, and no elimination starts from it.
+    ``int_rows`` maps the bitmask of a degree-(k+1) monomial to its row
+    of D d_k, D being ``denominator``: the nonzero Gaussian integers
+    ``{column: (re, im)}``, columns the degree-k monomials in
+    lexicographic order.  Empty rows are absent; the rest come in the
+    order assembly first touched them.  ``entries`` maps (row, column),
+    rows numbered lexicographically, to the nonzero Scalar of d_k; it is
+    built on first read, for export only.
     """
 
     degree: int
-    rows: int
-    cols: int
+    dim: int
     int_rows: dict[int, dict[int, tuple[int, int]]]
     denominator: int
 
+    @property
+    def rows(self) -> int:
+        return comb(self.dim, self.degree + 1)
+
+    @property
+    def cols(self) -> int:
+        return comb(self.dim, self.degree)
+
     @cached_property
     def entries(self) -> dict[tuple[int, int], Scalar]:
+        row_of = {mask: r for r, (_, mask) in enumerate(_monomials(self.dim, self.degree + 1))}
         d = self.denominator
         return {
-            (r, c): Scalar(Fraction(re, d), Fraction(im, d))
-            for r, row in self.int_rows.items()
+            (row_of[mask], c): Scalar(Fraction(re, d), Fraction(im, d))
+            for mask, row in self.int_rows.items()
             for c, (re, im) in row.items()
         }
 
@@ -147,27 +158,28 @@ class CoboundaryMatrix:
         return "\n".join(lines) + "\n"
 
 
+def _monomials(n: int, k: int):
+    """The degree-k monomials in lexicographic order as (indices, bitmask)."""
+    bits = [1 << i for i in range(n)]
+    return zip(combinations(range(n), k), map(sum, combinations(bits, k)))
+
+
+def _images(algebra: LieAlgebra, k: int):
+    """D d(w) as nonzero {mask: (re, im)} per degree-k monomial w, lexicographically."""
+    return algebra._expand_d(_monomials(algebra.dim, k))
+
+
 def coboundary_matrix(algebra: LieAlgebra, k: int) -> CoboundaryMatrix:
     """Matrix of d on degree-k cochains, assembled as D d_k in Gaussian
     integers."""
     n = algebra.dim
     if not (0 <= k <= n):
         raise DegreeOutOfRange(f"degree {k} outside 0..{n}")
-    bits = [1 << i for i in range(n)]
-    row_of = {mask: r for r, mask in enumerate(map(sum, combinations(bits, k + 1)))}
     rows: dict[int, dict[int, tuple[int, int]]] = {}
-    sources = zip(combinations(range(n), k), map(sum, combinations(bits, k)))
-    for c, image in enumerate(algebra._expand_d(sources)):
+    for c, image in enumerate(_images(algebra, k)):
         for target, value in image.items():
-            if value != (0, 0):
-                rows.setdefault(row_of[target], {})[c] = value
-    return CoboundaryMatrix(
-        degree=k,
-        rows=comb(n, k + 1),
-        cols=comb(n, k),
-        int_rows=dict(sorted(rows.items())),
-        denominator=algebra._denominator,
-    )
+            rows.setdefault(target, {})[c] = value
+    return CoboundaryMatrix(degree=k, dim=n, int_rows=rows, denominator=algebra._denominator)
 
 
 def rank_exact(matrix: CoboundaryMatrix) -> int:
@@ -277,56 +289,46 @@ def cocycle_basis(algebra: LieAlgebra, k: int) -> list[ExteriorForm]:
 def coboundary_basis(algebra: LieAlgebra, k: int) -> list[ExteriorForm]:
     """A basis of the exact degree-k forms: coboundaries of monomials.
 
-    The pivot columns of the degree k-1 matrix pick out monomials whose
-    images are independent, so every basis element is literally d of a
-    degree k-1 monomial.
+    Walks the degree k-1 monomials in lexicographic order and keeps
+    each one whose image is not in the span of the images before it, so
+    every basis element is literally d of a degree k-1 monomial.
     """
     n = algebra.dim
     if not (0 <= k <= n):
         raise DegreeOutOfRange(f"degree {k} outside 0..{n}")
     if k == 0:
         return []
-    matrix = coboundary_matrix(algebra, k - 1)
-    _, pivots = linalg.rref(list(matrix.int_rows.values()))
-    columns = _columns(matrix)
-    monomials = basis(n, k)
-    d = matrix.denominator
+    span = linalg.SpanBuilder()
+    d = algebra._denominator
     return [
-        _form_from_vector(n, k, monomials, {
-            r: Scalar(Fraction(re, d), Fraction(im, d)) for r, (re, im) in columns[c].items()
+        ExteriorForm(n, k, {
+            _indices(mask): Scalar(Fraction(re, d), Fraction(im, d))
+            for mask, (re, im) in image.items()
         })
-        for c in pivots
+        for image in _images(algebra, k - 1)
+        if span.add(image)
     ]
 
 
 def cohomology_representatives(algebra: LieAlgebra, k: int) -> list[ExteriorForm]:
     """Closed forms whose classes form a basis of degree-k cohomology.
 
-    Extends the span of the exact forms (the columns of d in degree
-    k-1) by cocycle basis vectors that grow it; the added vectors
+    Extends the span of the exact forms (the images of the degree k-1
+    monomials) by cocycle basis vectors that grow it; the added vectors
     represent independent classes and there are exactly b_k of them.
     """
     n = algebra.dim
-    monomials = basis(n, k)
     span = linalg.SpanBuilder()
     if k > 0:
-        for column in _columns(coboundary_matrix(algebra, k - 1)):
-            span.add(column)
+        for image in _images(algebra, k - 1):
+            span.add(image)
     matrix = coboundary_matrix(algebra, k)
+    monomials, masks = zip(*_monomials(n, k))
     return [
         _form_from_vector(n, k, monomials, vec)
         for vec in linalg.kernel_basis(list(matrix.int_rows.values()), matrix.cols)
-        if span.add(linalg.gaussian_row(vec, matrix.cols))
+        if span.add({masks[c]: v for c, v in linalg.gaussian_row(vec, matrix.cols).items()})
     ]
-
-
-def _columns(matrix: CoboundaryMatrix) -> list[dict[int, tuple[int, int]]]:
-    """The columns of D d_k as Gaussian-integer rows {row: (re, im)}."""
-    columns: list[dict[int, tuple[int, int]]] = [{} for _ in range(matrix.cols)]
-    for r, row in matrix.int_rows.items():
-        for c, value in row.items():
-            columns[c][r] = value
-    return columns
 
 
 def _form_from_vector(n, k, monomials, vector) -> ExteriorForm:

@@ -139,7 +139,7 @@ class LieAlgebra:
         return out
 
     def _expand_d(self, monomials):
-        """Yield D d(w) as {mask: (re, im)}, zeros kept, for each monomial
+        """Yield D d(w) as {mask: (re, im)}, zeros dropped, for each monomial
         w given as (key, mask): its increasing indices and their bitmask."""
         dual = self._dual
         for key, mask in monomials:
@@ -159,9 +159,10 @@ class LieAlgebra:
                         re, im = -re, -im
                     target = rest | pair
                     if target in image:
-                        old_re, old_im = image[target]
+                        old_re, old_im = image.pop(target)
                         re, im = old_re + re, old_im + im
-                    image[target] = (re, im)
+                    if re or im:
+                        image[target] = (re, im)
             yield image
 
     def _check_jacobi(self) -> None:

@@ -1,9 +1,10 @@
 """Exact linear algebra over the Gaussian rationals, on one kernel.
 
-Rows are sparse dicts ``{column: (re, im)}`` of nonzero Gaussian
-integers at any scale (only ``inverse`` takes a dense Scalar matrix): a
-nonzero multiple of a row changes no rank, echelon form, kernel or span,
-so a caller holding integers (the coboundary assembly) passes them as is.
+Rows are sparse dicts ``{column: (re, im)}`` of Gaussian integers at
+any scale (only ``inverse`` takes a dense Scalar matrix); explicit zero
+entries are dropped where a caller's row comes in.  A nonzero multiple
+of a row changes no rank, echelon form, kernel or span, so a caller
+holding integers (the coboundary assembly) passes them as is.
 ``gaussian_row`` is the one edge from Scalars; it clears the
 denominators of a ``{column: Scalar}`` row.  ``_scalar_row`` is the one
 edge back; it divides a row by its pivot entry, which gives the rows of
@@ -154,11 +155,20 @@ def _reduce(row, pivots) -> dict[int, tuple[int, int]]:
         row = _strip_content(combo)
 
 
+def _nonzero(row: dict[int, tuple[int, int]]) -> dict[int, tuple[int, int]]:
+    """A caller's row without explicit zero entries.  Rows made inside
+    ``_reduce`` need no such pass: a product of nonzero Gaussian integers
+    is nonzero, and entries that cancel are deleted there."""
+    if (0, 0) in row.values():
+        return {c: v for c, v in row.items() if v != (0, 0)}
+    return row
+
+
 def _echelon(rows) -> dict[int, dict[int, tuple[int, int]]]:
     """Pivot rows of a row echelon form, keyed by leading column; empty
-    rows are skipped."""
+    rows and zero entries are skipped."""
     pivots = {}
-    for row in rows:
+    for row in map(_nonzero, rows):
         if row:
             reduced = _reduce(row, pivots)
             if reduced:
@@ -239,11 +249,11 @@ class SpanBuilder:
 
     def add(self, row) -> bool:
         """Add a row; True if it enlarged the span."""
-        reduced = _reduce(row, self._pivots)
+        reduced = _reduce(_nonzero(row), self._pivots)
         if not reduced:
             return False
         self._pivots[min(reduced)] = reduced
         return True
 
     def contains(self, row) -> bool:
-        return not _reduce(row, self._pivots)
+        return not _reduce(_nonzero(row), self._pivots)

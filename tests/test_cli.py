@@ -1,8 +1,11 @@
 import json
 import os
+import re
 import resource
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -378,21 +381,38 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-@pytest.mark.parametrize("command", [
-    ["betti", "--degree", "1"],
-    ["betti", "--degree", "500000000"],
-    ["profile"],
-    ["cocycles", "--degree", "2"],
-    ["export-matrix", "--degree", "0"],
-    ["verify"],
-], ids=["betti", "betti-middle-degree", "profile", "cocycles", "export-matrix", "verify"])
-def test_huge_dimension_is_refused_up_front(tmp_path, command):
-    algebra = {"dim": 10**9}
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps({"algebra": algebra, "betti": [1]} if command == ["verify"] else algebra))
+HUGE = {"dim": 10**9}
+# fails the Jacobi identity, whose residual is a vector of length dim
+HUGE_NOT_LIE = {"dim": 10**8, "brackets": [
+    {"i": 0, "j": 1, "coeffs": {"2": "1"}}, {"i": 0, "j": 2, "coeffs": {"0": "1"}},
+]}
+
+
+@pytest.mark.parametrize("command, document", [
+    (["betti", "--degree", "1"], HUGE),
+    (["betti", "--degree", "500000000"], HUGE),
+    (["profile"], HUGE),
+    (["cocycles", "--degree", "2"], HUGE),
+    (["export-matrix", "--degree", "0"], HUGE),
+    (["verify"], {"algebra": HUGE, "betti": [1]}),
+    (["betti", "--degree", "1"], HUGE_NOT_LIE),
+    (["betti", "--family", "abelian", "--d", "100000000", "--degree", "1"], None),
+    (["betti", "--family", "heisenberg", "--m", "100000000", "--degree", "1"], None),
+    (["betti", "--family", "heisenberg-ext", "--m", "1", "--n", "100000000", "--degree", "1"],
+     None),
+    (["profile", "--family", "aff-ext", "--n", "100000000"], None),
+], ids=["betti", "betti-middle-degree", "profile", "cocycles", "export-matrix", "verify",
+        "jacobi-violation", "abelian", "heisenberg", "heisenberg-ext", "aff-ext"])
+def test_huge_dimension_is_refused_up_front(tmp_path, command, document):
+    # the dimension an input or a family declares is checked before any
+    # algebra, label or residual of that size is built
+    if document is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(document))
+        command = [*command, "--input", str(path)]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(liecoh.__file__)))
     result = subprocess.run(
-        [sys.executable, "-m", "liecoh.cli", *command, "--input", str(path)],
+        [sys.executable, "-m", "liecoh.cli", *command],
         capture_output=True, text=True, timeout=60, env=env, preexec_fn=_limit_address_space,
     )
     assert result.returncode == 2 and result.stdout == ""
@@ -409,3 +429,26 @@ def test_cochain_size_guard_boundary(capsys, tmp_path):
     code, out, err = run(capsys, "betti", "--input", str(path), "--degree", "1")
     assert code == 2 and out == ""
     assert err.startswith("error: degree-2 cochains") and "1000000" in err
+
+
+def _readme_examples():
+    # (argv, shown stdout) for every `$ liecoh` line of README.md, the
+    # output being the lines up to the fence that closes its block
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    found = re.findall(r"^\$ liecoh ([^\n]*)\n(.*?)^```$", text, flags=re.MULTILINE | re.DOTALL)
+    return [(shlex.split(command), shown) for command, shown in found]
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_has_command_examples():
+    # the parse found every example, not none
+    assert len(README_EXAMPLES) >= 7
+
+
+@pytest.mark.parametrize(
+    "argv, shown", README_EXAMPLES, ids=[" ".join(argv) for argv, _ in README_EXAMPLES]
+)
+def test_readme_example_output_is_current(capsys, argv, shown):
+    assert run(capsys, *argv) == (0, shown, "")

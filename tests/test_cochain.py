@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -164,15 +165,22 @@ def _random_dense_image(rng):
             continue
 
 
+def _mask(key):
+    return sum(1 << i for i in key)
+
+
 def _matrix_columns(matrix):
-    # columns of d_k from the integer rows of D d_k, divided by D
+    # columns of d_k, rows numbered lexicographically, from the integer
+    # rows of D d_k keyed by target bitmask, divided by D
+    keys = combinations(range(matrix.dim), matrix.degree + 1)
+    row_of = {_mask(key): r for r, key in enumerate(keys)}
     d = matrix.denominator
     columns = [{} for _ in range(matrix.cols)]
-    for r, row in matrix.int_rows.items():
-        assert 0 <= r < matrix.rows and row
+    for mask, row in matrix.int_rows.items():
+        assert mask in row_of and row
         for c, (re, im) in row.items():
             assert re or im
-            columns[c][r] = Scalar(Fraction(re, d), Fraction(im, d))
+            columns[c][row_of[mask]] = Scalar(Fraction(re, d), Fraction(im, d))
     return columns
 
 
@@ -202,6 +210,38 @@ def test_assembly_columns_match_apply_coboundary(make, seed):
                     assert expected == oracle_coboundary(g, w)
 
 
+@pytest.mark.parametrize(
+    "make, seed",
+    [(_random_direct_sum, 71), (_random_gaussian_diamond, 72), (_random_dense_image, 73)],
+)
+def test_coboundary_basis_is_d_of_the_first_independent_monomials(make, seed):
+    # reference route: d of every degree k-1 monomial by apply_coboundary;
+    # the basis is d of increasing monomials, rank d_{k-1} of them, and
+    # the image of every monomial skipped lies in the span of those kept
+    rng = random.Random(seed)
+    for _ in range(6):
+        g = make(rng)
+        profile = betti_profile(g)
+        assert coboundary_basis(g, 0) == []
+        for k in range(1, g.dim + 1):
+            forms = coboundary_basis(g, k)
+            assert len(forms) == profile.ranks[k - 1]
+            images = [
+                apply_coboundary(g, ExteriorForm(g.dim, k - 1, {key: 1}))
+                for key in basis(g.dim, k - 1)
+            ]
+            kept = []
+            for w in forms:
+                start = kept[-1] + 1 if kept else 0
+                kept.append(next(p for p in range(start, len(images)) if images[p] == w))
+            monomials = basis(g.dim, k)
+            span = SpanBuilder()
+            for p in kept:
+                assert span.add(span_row(images[p], monomials))
+            for p in set(range(len(images))) - set(kept):
+                assert span.contains(span_row(images[p], monomials))
+
+
 def test_denominator_clears_every_structure_constant():
     # [e0, e1] = (1/3 + 2/3 i) e2 and [e0, e2] = -25/16 e2, so D = 48 and
     # d e2* = -(1/3 + 2/3 i) e0* ^ e1* + 25/16 e0* ^ e2*
@@ -214,7 +254,8 @@ def test_denominator_clears_every_structure_constant():
     )
     matrix = coboundary_matrix(g, 1)
     assert matrix.denominator == 48
-    assert matrix.int_rows == {0: {2: (-16, -32)}, 1: {2: (75, 0)}}
+    # rows keyed by target bitmask: e0*^e1* is 0b011, e0*^e2* is 0b101
+    assert matrix.int_rows == {0b011: {2: (-16, -32)}, 0b101: {2: (75, 0)}}
     assert matrix.to_coordinate_text() == "% 1 3 3\n0 2 -1/3-2/3i\n1 2 25/16\n"
 
 

@@ -1,9 +1,11 @@
 """Byte-exact cocycle and coboundary bases against files in ``tests/golden``.
 
 ``cocycle_basis`` reads its vectors off the reduced echelon form of d_k
-and ``coboundary_basis`` takes d of the monomials at the pivot columns
-of d_{k-1}; both are unique, so each rendered form is fixed by the
-algebra and the degree alone, whatever scale the elimination works at.
+and ``coboundary_basis`` takes d of each degree k-1 monomial, in
+lexicographic order, whose image is not in the span of the images
+before it (the pivot columns of d_{k-1}); both are unique, so each
+rendered form is fixed by the algebra and the degree alone, whatever
+scale the elimination works at and whatever order its rows come in.
 The CLI golden files reach only ``cohomology_representatives``; these
 pin the other two basis functions of the library.  Regenerate a file
 only for a deliberate change of output format.

@@ -167,6 +167,10 @@ def test_rank_known_values():
     rows = [{0: ZERO, 1: ONE}, {1: Scalar(3)}]
     assert _gaussian(rows, 2) == [{1: (1, 0)}, {1: (3, 0)}]
     assert rank_gaussian(_gaussian(rows, 2)) == 1
+    # and so do explicit zero entries in integer rows
+    assert rank_gaussian([{0: (0, 0)}]) == 0
+    assert rank_gaussian([{0: (0, 0), 1: (2, 0)}, {1: (1, 0), 2: (0, 0)}]) == 1
+    assert rref([{0: (0, 0), 1: (0, 2)}]) == ([{1: ONE}], [1])
 
 
 def test_rank_gaussian_integers():
@@ -186,6 +190,7 @@ def test_gaussian_row_clears_denominators():
 def test_kernel_of_zero_map_is_everything():
     assert kernel_basis([{}], 3) == [{0: ONE}, {1: ONE}, {2: ONE}]
     assert kernel_basis([], 2) == [{0: ONE}, {1: ONE}]
+    assert kernel_basis([{0: (0, 0)}], 1) == [{0: ONE}]
 
 
 def test_inverse_round_trip():
@@ -228,3 +233,8 @@ def test_span_builder_contains_combinations():
     assert sb.contains({0: (3, 1), 1: (3, 1), 2: (6, 2)})
     assert not sb.contains({2: (1, 0)})
     assert sb.contains({})
+    # explicit zero entries count as absent
+    assert sb.contains({0: (1, 0), 1: (0, 0), 2: (1, 0)})
+    assert not sb.add({3: (0, 0)}) and sb.rank == 2
+    assert not SpanBuilder().add({3: (0, 0)})
+    assert SpanBuilder().contains({3: (0, 0)})
