@@ -320,6 +320,8 @@ def _cmd_diamond_b2(config: RunConfig) -> tuple[str, int]:
         ]
     except ZeroLambda:
         spec = None
+        # the engine takes b_0..b_2 of the diamond on the nonzero entries
+        _check_size(2 * sum(1 for v in entries if v) + 2, [1, 2, 3])
         value = closed_forms.diamond_b2_general(entries)
         classes = None
     if config.fmt == "json":

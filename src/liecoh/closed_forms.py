@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cochain import BettiProfile, betti_profile
+from .cochain import BettiProfile, betti
 from .errors import DegreeOutOfRange, DimensionMismatch, ZeroLambda
 from .scalars import Scalar
 
@@ -200,20 +200,19 @@ def diamond_b2_general(entries) -> int:
 
     Zero parameters split off an abelian summand: the algebra is the
     diamond on the nonzero entries plus a 2(n-m)-dimensional abelian
-    algebra.  The reduced factor goes through the exact engine and the
-    abelian factor contributes binomials via convolution.
+    algebra.  b_0, b_1 and b_2 of the reduced factor go through the
+    exact engine, and the Kunneth formula with the abelian binomials
+    gives b_2 of the sum.
     """
     values = [Scalar.coerce(v) for v in entries]
     nonzero = [v for v in values if v]
-    dropped = len(values) - len(nonzero)
+    d = 2 * (len(values) - len(nonzero))
     if nonzero:
         from .lie_algebra import diamond
 
         reduced_algebra, _ = diamond(nonzero)
-        reduced = betti_profile(reduced_algebra)
+        low = [betti(reduced_algebra, k) for k in range(3)]
     else:
         # the diamond on no parameters is the abelian plane
-        reduced = BettiProfile.from_betti(2, (1, 2, 1))
-    d = 2 * dropped
-    abelian_profile = tuple(binom(d, k) for k in range(d + 1))
-    return kunneth_convolution(reduced, abelian_profile).b[2]
+        low = [1, 2, 1]
+    return sum(b * binom(d, 2 - k) for k, b in enumerate(low))

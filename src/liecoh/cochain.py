@@ -9,22 +9,43 @@ On the dual basis this means d(e_l*) = -sum_{i<j} c^l_{ij} e_i* ^ e_j*
 where the c are the structure constants, and d extends to all of the
 exterior algebra as an antiderivation.
 
-Degree-k cochains are coordinatised by the lexicographic monomial list
-``exterior.basis(dim, k)``.  The matrix of d in degree k then has
-C(n, k+1) rows and C(n, k) columns; its exact rank gives Betti numbers
-through  b_k = C(n, k) - rank d_{k-1} - rank d_k  with the out-of-range
-ranks defined to be zero.
+A matrix of d in degree k has a column for each degree-k monomial it
+is assembled over, in the order given, and a row for each
+degree-(k+1) monomial its columns reach.  The full d_k takes all
+C(n, k) monomials in the lexicographic order of
+``exterior.basis(dim, k)``; ``cocycle_basis``, ``coboundary_basis`` and
+``export-matrix`` use it.
 
-``_images`` walks the degree-k monomials in lexicographic order
-through the algebra's table of D d(e_l*), D the lcm of the structure
-constants' denominators, and yields each image D d(w) as nonzero
-Gaussian integers ``{mask: (re, im)}`` keyed by target bitmask.
-``coboundary_matrix`` files them into the rows of D d_k under those
-masks, and the exact forms are the images that grow a span.  Neither
-D nor the row keys change a rank, kernel or span, so ``linalg`` takes
-the integer rows as they are; Scalars appear only in the forms that
-come out and in the lexicographically numbered ``entries`` of d_k that
-``export-matrix`` prints.
+``betti``, ``betti_profile`` and ``cohomology_representatives`` take a
+smaller complex with the same cohomology.  An index p whose brackets
+[e_p, e_q] are all multiples of e_q has ad(e_p) diagonal; such ad(e_p)
+commute, and L_x = d i_x + i_x d makes every block of nonzero joint
+weight acyclic (Hochschild-Serre, Ann. Math. 57, 1953).  So only the
+monomials of weight 0 are assembled, still in lexicographic order; with
+no such p that is every monomial.  With C_k the number of them and r_k
+the rank of d on them,
+
+    b_k = C_k - r_{k-1} - r_k
+
+with the out-of-range ranks defined to be zero.  When tr ad(e_p) = 0
+for every p the algebra is unimodular: d_k and d_{n-1-k} are adjoint
+under the wedge pairing into the top degree, so r_k = r_{n-1-k} and
+b_k = b_{n-k} (Koszul, Bull. SMF 78, 1950), and ranks are eliminated
+only up to the middle degree.  A representative of weight 0 grows the
+span of the exact forms exactly when it does in the full complex, and
+the reduced echelon form of a block-diagonal matrix is the union of the
+blocks' forms, so the representatives are the same forms.
+
+``LieAlgebra._expand_d`` walks monomials through the algebra's table of
+D d(e_l*), D the lcm of the structure constants' denominators, and
+yields each image D d(w) as nonzero Gaussian integers
+``{mask: (re, im)}`` keyed by target bitmask.  ``coboundary_matrix``
+files them into the rows of D d_k under those masks, and the exact
+forms are the images that grow a span.  Neither D nor the row keys
+change a rank, kernel or span, so ``linalg`` takes the integer rows as
+they are; Scalars appear only in the forms that come out and in the
+lexicographically numbered ``entries`` of d_k that ``export-matrix``
+prints.
 
 ``apply_coboundary`` expands the antiderivation on an ``ExteriorForm``
 with Scalar arithmetic.  It shares no code with the assembly and is the
@@ -114,33 +135,34 @@ def apply_coboundary(algebra: LieAlgebra, w: ExteriorForm) -> ExteriorForm:
 
 @dataclass(frozen=True)
 class CoboundaryMatrix:
-    """Sparse matrix of d on the degree-k cochains of a dim-n algebra.
+    """Sparse matrix of d on degree-k cochains of a dim-n algebra.
 
     ``int_rows`` maps the bitmask of a degree-(k+1) monomial to its row
     of D d_k, D being ``denominator``: the nonzero Gaussian integers
-    ``{column: (re, im)}``, columns the degree-k monomials in
-    lexicographic order.  Empty rows are absent; the rest come in the
-    order assembly first touched them.  ``entries`` maps (row, column),
-    rows numbered lexicographically, to the nonzero Scalar of d_k; it is
-    built on first read, for export only.
+    ``{column: (re, im)}``, column c the c-th of the ``cols`` monomials
+    the matrix was assembled over (all degree-k monomials in
+    lexicographic order unless a caller chose fewer).  Empty rows are
+    absent; the rest come in the order assembly first touched them.
+    ``entries`` maps (row, column), rows numbered lexicographically
+    among all ``rows`` degree-(k+1) monomials, to the nonzero Scalar of
+    d_k; it is built on first read, for export only.
     """
 
     degree: int
     dim: int
     int_rows: dict[int, dict[int, tuple[int, int]]]
     denominator: int
+    cols: int
 
     @property
     def rows(self) -> int:
         return comb(self.dim, self.degree + 1)
 
-    @property
-    def cols(self) -> int:
-        return comb(self.dim, self.degree)
-
     @cached_property
     def entries(self) -> dict[tuple[int, int], Scalar]:
-        row_of = {mask: r for r, (_, mask) in enumerate(_monomials(self.dim, self.degree + 1))}
+        row_of = {
+            mask: r for r, (_, mask) in enumerate(_monomials(range(self.dim), self.degree + 1))
+        }
         d = self.denominator
         return {
             (row_of[mask], c): Scalar(Fraction(re, d), Fraction(im, d))
@@ -158,28 +180,130 @@ class CoboundaryMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _monomials(n: int, k: int):
-    """The degree-k monomials in lexicographic order as (indices, bitmask)."""
-    bits = [1 << i for i in range(n)]
-    return zip(combinations(range(n), k), map(sum, combinations(bits, k)))
+def _monomials(indices, k: int):
+    """The k-subsets of the increasing ``indices`` in lexicographic order,
+    as (indices, bitmask)."""
+    bits = [1 << i for i in indices]
+    return zip(combinations(indices, k), map(sum, combinations(bits, k)))
 
 
-def _images(algebra: LieAlgebra, k: int):
-    """D d(w) as nonzero {mask: (re, im)} per degree-k monomial w, lexicographically."""
-    return algebra._expand_d(_monomials(algebra.dim, k))
+def _weights(algebra: LieAlgebra) -> tuple[dict[int, int], bool]:
+    """The nonzero joint weights of the basis indices, and whether the
+    algebra is unimodular.
+
+    ad(e_p) is diagonal when every bracket [e_p, e_q] is w_p(q) e_q; the
+    joint weight of e_q lists D w_p(q) over those p that have a nonzero
+    weight, real and imaginary parts apart.  Each list is packed into
+    one integer in balanced base B, B more than 2n times the largest
+    component, so a sum of at most n weights is 0 exactly when every
+    component of it is.  tr ad(e_p) sums D w_p(q) over the brackets
+    along e_q whether or not ad(e_p) is diagonal.  Both come from the
+    table of D d(e_l*) in one pass over the brackets.
+    """
+    # along[p][q] = D w when [e_p, e_q] has the term w e_q
+    along: dict[int, dict[int, tuple[int, int]]] = {}
+    mixed = set()
+    for l, terms in algebra._dual.items():
+        for pair, _, re, im in terms:
+            # the term -D c^l_ab e_a* ^ e_b* of D d(e_l*), with [e_a, e_b] = c e_l
+            a = (pair & -pair).bit_length() - 1
+            b = pair.bit_length() - 1
+            if l == b:
+                along.setdefault(a, {})[b] = (-re, -im)
+                mixed.add(b)
+            elif l == a:
+                along.setdefault(b, {})[a] = (re, im)
+                mixed.add(a)
+            else:
+                mixed.update((a, b))
+    unimodular = all(
+        sum(re for re, _ in row.values()) == 0 and sum(im for _, im in row.values()) == 0
+        for row in along.values()
+    )
+    diagonal = [p for p in sorted(along) if p not in mixed]
+    base = 2 * algebra.dim * max(
+        (abs(x) for p in diagonal for w in along[p].values() for x in w), default=0
+    ) + 1
+    weights: dict[int, int] = {}
+    for p in diagonal:
+        for q in weights:
+            weights[q] *= base * base
+        for q, (re, im) in along[p].items():
+            weights[q] = weights.get(q, 0) + re * base + im
+    return weights, unimodular
 
 
-def coboundary_matrix(algebra: LieAlgebra, k: int) -> CoboundaryMatrix:
+class _WeightZero:
+    """The monomials of weight 0 in each degree up to ``top``.
+
+    Indices of weight 0 are free; the rest, the charged ones, are split
+    into a lower and an upper half, and a charged subset of weight 0 is a
+    subset of each half whose weights cancel, met through a table of the
+    lower half's subsets by size and weight.  Only subsets of at most
+    ``top`` indices are formed.  With no charged index every monomial
+    has weight 0.
+    """
+
+    def __init__(self, n: int, weights: dict[int, int], top: int):
+        self.free = [q for q in range(n) if q not in weights]
+        charged = sorted(weights)
+        low, high = charged[: len(charged) // 2], charged[len(charged) // 2 :]
+        top = min(top, len(charged))
+        lower: dict[tuple[int, int], list[tuple[tuple[int, ...], int]]] = {}
+        for i in range(min(top, len(low)) + 1):
+            for key, mask in _monomials(low, i):
+                lower.setdefault((i, sum(weights[q] for q in key)), []).append((key, mask))
+        # balanced[j]: the charged j-subsets of weight 0, as (indices, bitmask);
+        # balanced[0] holds the empty subset alone
+        self.balanced: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(top + 1)]
+        for j in range(min(top, len(high)) + 1):
+            for key, mask in _monomials(high, j):
+                weight = -sum(weights[q] for q in key)
+                for i in range(top - j + 1):
+                    for low_key, low_mask in lower.get((i, weight), ()):
+                        self.balanced[i + j].append((low_key + key, low_mask | mask))
+
+    def monomials(self, k: int):
+        """The degree-k monomials of weight 0 in lexicographic order, as
+        (indices, bitmask); an iterator when all of them are free."""
+        free = _monomials(self.free, k)
+        charged = [
+            (tuple(sorted(key + extra)), mask | extra_mask)
+            for j, subsets in enumerate(self.balanced[1 : k + 1], start=1)
+            if subsets
+            for key, mask in _monomials(self.free, k - j)
+            for extra, extra_mask in subsets
+        ]
+        return sorted([*free, *charged]) if charged else free
+
+    def dim(self, k: int) -> int:
+        """The number of degree-k monomials of weight 0."""
+        return sum(
+            len(subsets) * comb(len(self.free), k - j)
+            for j, subsets in enumerate(self.balanced[: k + 1])
+        )
+
+
+def coboundary_matrix(algebra: LieAlgebra, k: int, monomials=None) -> CoboundaryMatrix:
     """Matrix of d on degree-k cochains, assembled as D d_k in Gaussian
-    integers."""
+    integers.
+
+    Its columns are the degree-k ``monomials``, (indices, bitmask) pairs
+    in the order given; by default all of them, lexicographically.
+    """
     n = algebra.dim
     if not (0 <= k <= n):
         raise DegreeOutOfRange(f"degree {k} outside 0..{n}")
+    if monomials is None:
+        monomials = _monomials(range(n), k)
     rows: dict[int, dict[int, tuple[int, int]]] = {}
-    for c, image in enumerate(_images(algebra, k)):
+    c = -1
+    for c, image in enumerate(algebra._expand_d(monomials)):
         for target, value in image.items():
             rows.setdefault(target, {})[c] = value
-    return CoboundaryMatrix(degree=k, dim=n, int_rows=rows, denominator=algebra._denominator)
+    return CoboundaryMatrix(
+        degree=k, dim=n, int_rows=rows, denominator=algebra._denominator, cols=c + 1
+    )
 
 
 def rank_exact(matrix: CoboundaryMatrix) -> int:
@@ -256,21 +380,42 @@ class BettiProfile:
         return cls.from_ranks(n, tuple(ranks))
 
 
+def _reduced_betti(algebra: LieAlgebra, degrees) -> list[int]:
+    """b_k for each k in ``degrees``, from the ranks of d on the weight-0
+    cochains, halved by duality on a unimodular algebra."""
+    n = algebra.dim
+    weights, unimodular = _weights(algebra)
+    if unimodular:
+        degrees = [min(k, n - k) for k in degrees]
+    cochains = _WeightZero(n, weights, max(degrees, default=0))
+    ranks: dict[int, int] = {}
+
+    def rank(k: int) -> int:
+        if unimodular:
+            k = min(k, n - 1 - k)
+        if not 0 <= k < n:
+            return 0
+        if k not in ranks:
+            ranks[k] = rank_exact(coboundary_matrix(algebra, k, cochains.monomials(k)))
+        return ranks[k]
+
+    return [cochains.dim(k) - rank(k - 1) - rank(k) for k in degrees]
+
+
 def betti(algebra: LieAlgebra, k: int) -> int:
-    """The k-th Betti number from the two ranks that bound degree k."""
+    """The k-th Betti number from the ranks of d on the weight-0 cochains
+    next to degree k, or next to n - k on a unimodular algebra."""
     n = algebra.dim
     if not (0 <= k <= n):
         raise DegreeOutOfRange(f"degree {k} outside 0..{n}")
-    below = rank_exact(coboundary_matrix(algebra, k - 1)) if k > 0 else 0
-    here = rank_exact(coboundary_matrix(algebra, k)) if k < n else 0
-    return comb(n, k) - below - here
+    return _reduced_betti(algebra, [k])[0]
 
 
 def betti_profile(algebra: LieAlgebra) -> BettiProfile:
-    """All Betti numbers of the algebra, from exact coboundary ranks."""
+    """All Betti numbers of the algebra, with the ranks of the full
+    coboundaries they force."""
     n = algebra.dim
-    ranks = [rank_exact(coboundary_matrix(algebra, k)) for k in range(n + 1)]
-    return BettiProfile.from_ranks(n, tuple(ranks))
+    return BettiProfile.from_betti(n, _reduced_betti(algebra, range(n + 1)))
 
 
 def cocycle_basis(algebra: LieAlgebra, k: int) -> list[ExteriorForm]:
@@ -305,7 +450,7 @@ def coboundary_basis(algebra: LieAlgebra, k: int) -> list[ExteriorForm]:
             _indices(mask): Scalar(Fraction(re, d), Fraction(im, d))
             for mask, (re, im) in image.items()
         })
-        for image in _images(algebra, k - 1)
+        for image in algebra._expand_d(_monomials(range(n), k - 1))
         if span.add(image)
     ]
 
@@ -313,21 +458,28 @@ def coboundary_basis(algebra: LieAlgebra, k: int) -> list[ExteriorForm]:
 def cohomology_representatives(algebra: LieAlgebra, k: int) -> list[ExteriorForm]:
     """Closed forms whose classes form a basis of degree-k cohomology.
 
-    Extends the span of the exact forms (the images of the degree k-1
-    monomials) by cocycle basis vectors that grow it; the added vectors
-    represent independent classes and there are exactly b_k of them.
+    Extends the span of the exact forms of weight 0 (the images of the
+    degree k-1 monomials of weight 0) by the cocycle basis vectors of
+    weight 0 that grow it; the added vectors represent independent
+    classes and there are exactly b_k of them.
     """
     n = algebra.dim
+    if not (0 <= k <= n):
+        raise DegreeOutOfRange(f"degree {k} outside 0..{n}")
+    cochains = _WeightZero(n, _weights(algebra)[0], k)
     span = linalg.SpanBuilder()
     if k > 0:
-        for image in _images(algebra, k - 1):
+        for image in algebra._expand_d(cochains.monomials(k - 1)):
             span.add(image)
-    matrix = coboundary_matrix(algebra, k)
-    monomials, masks = zip(*_monomials(n, k))
+    monomials = list(cochains.monomials(k))
+    matrix = coboundary_matrix(algebra, k, monomials)
+    keys = [key for key, _ in monomials]
     return [
-        _form_from_vector(n, k, monomials, vec)
+        _form_from_vector(n, k, keys, vec)
         for vec in linalg.kernel_basis(list(matrix.int_rows.values()), matrix.cols)
-        if span.add({masks[c]: v for c, v in linalg.gaussian_row(vec, matrix.cols).items()})
+        if span.add({
+            monomials[c][1]: v for c, v in linalg.gaussian_row(vec, matrix.cols).items()
+        })
     ]
 
 

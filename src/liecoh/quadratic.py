@@ -85,20 +85,46 @@ def validate(algebra: LieAlgebra, form) -> QuadraticStructure:
         sharp = tuple(tuple(row) for row in linalg.inverse(matrix))
     except ValueError:
         raise Degenerate("form matrix has determinant zero") from None
-    for j in range(n):
-        for k in range(j + 1, n):
-            vector_jk = algebra.brackets.get((j, k), {})
-            for i in range(n):
-                # B([e_i,e_j], e_k) against B(e_i, [e_j,e_k])
-                left = ZERO
-                for l, c in algebra.bracket_basis(i, j).items():
-                    left = left + c * matrix[l][k]
-                right = ZERO
-                for l, c in vector_jk.items():
-                    right = right + matrix[i][l] * c
-                if left != right:
-                    raise NotInvariant((i, j, k), left, right)
+    triple = _first_non_invariant(algebra, matrix)
+    if triple is not None:
+        raise NotInvariant(*triple)
     return QuadraticStructure(algebra, matrix, sharp)
+
+
+def _first_non_invariant(algebra: LieAlgebra, matrix):
+    """The first basis triple (i, j, k) with j < k, in the order of j,
+    then k, then i, where B([e_i,e_j], e_k) != B(e_i, [e_j,e_k]), with
+    both values; None if B is invariant.
+
+    B is symmetric here, so the right side is B([e_j,e_k], e_i).  With
+    T(a, b, c) = B([e_a,e_b], e_c), built from the brackets and the
+    nonzero entries of B, the triple fails when T(i, j, k) != T(j, k, i),
+    and only a triple naming a nonzero T in one of those two places can.
+    """
+    nonzero = [{c: v for c, v in enumerate(row) if v} for row in matrix]
+    table: dict[tuple[int, int, int], Scalar] = {}
+    for (a, b), vector in algebra.brackets.items():
+        for l, coeff in vector.items():
+            for c, value in nonzero[l].items():
+                table[(a, b, c)] = table.get((a, b, c), ZERO) + coeff * value
+
+    def t(a, b, c):
+        return table.get((a, b, c), ZERO) if a < b else -table.get((b, a, c), ZERO)
+
+    candidates = set()
+    for a, b, c in table:
+        candidates.add((c, a, b))
+        if b < c:
+            candidates.add((a, b, c))
+        if a < c:
+            candidates.add((b, a, c))
+    failures = [
+        (j, k, i) for i, j, k in candidates if t(i, j, k) != table.get((j, k, i), ZERO)
+    ]
+    if not failures:
+        return None
+    j, k, i = min(failures)
+    return (i, j, k), t(i, j, k), table.get((j, k, i), ZERO)
 
 
 def associated_three_form(structure: QuadraticStructure) -> ExteriorForm:

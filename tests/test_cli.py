@@ -11,8 +11,10 @@ import pytest
 
 import liecoh
 from liecoh.cli import DEFAULT_SEED, RunConfig, _build_family, main
+from liecoh.closed_forms import diamond_b2, lambda_classes
 from liecoh.errors import BadInput, UnknownFamily
 from liecoh.lie_algebra import algebra_to_json, heisenberg
+from liecoh.scalars import parse_scalar
 
 
 def run(capsys, *argv):
@@ -137,6 +139,30 @@ def test_diamond_b2_zero_parameter_goes_through_engine(capsys):
     assert "zero parameter" in lines[1]
     code, out, _ = run(capsys, "diamond-b2", "--lambda", "1", "--lambda", "0")
     assert out.splitlines()[0] == "b2 = 3"
+
+
+def test_diamond_b2_zero_parameter_on_a_large_diamond(capsys):
+    # the dim-24 diamond on eleven nonzero parameters plus a zero abelian
+    # plane: b_2 = b_2 + 2 b_1 + b_0 of the nonzero part, whose b_1 = b_0 = 1
+    nonzero = ["1", "-1", "2", "i", "-i", "3", "1/2", "2", "1+i", "5", "-5"]
+    argv = ["diamond-b2"]
+    for value in nonzero + ["0"]:
+        argv += ["--lambda", value]
+    code, out, err = run(capsys, *argv)
+    reduced = diamond_b2(lambda_classes([parse_scalar(v) for v in nonzero]))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == f"b2 = {reduced + 3}"
+
+
+def test_diamond_b2_zero_parameter_refuses_oversize_input(capsys):
+    # the diamond on 91 nonzero parameters has dimension 184, and
+    # C(184, 3) > 10**6 degree-3 cochains
+    argv = ["diamond-b2", "--lambda", "0"]
+    for p in range(91):
+        argv += ["--lambda", str(p + 1)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: degree-3 cochains of a dimension-184 algebra")
 
 
 def test_diamond_b2_json(capsys):

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from liecoh import cochain
 from liecoh.cochain import (
     BettiProfile,
     CoboundaryMatrix,
@@ -28,7 +29,7 @@ from liecoh.lie_algebra import (
     from_structure_constants,
     heisenberg,
 )
-from liecoh.linalg import SpanBuilder, inverse
+from liecoh.linalg import SpanBuilder, gaussian_row, inverse, kernel_basis
 from liecoh.scalars import ONE, ZERO, Scalar
 
 from helpers import (
@@ -152,8 +153,7 @@ def _random_gaussian_diamond(rng):
     return diamond(lam)[0]
 
 
-def _random_dense_image(rng):
-    g = rng.choice([aff_r(), heisenberg(1), diamond([Scalar(1, 1)])[0], direct_sum(aff_r(), aff_r())])
+def _dense_image(rng, g):
     while True:
         S = [
             [random_scalar(rng, allow_zero=False, complex_rate=0.5) for _ in range(g.dim)]
@@ -163,6 +163,11 @@ def _random_dense_image(rng):
             return change_basis(g, S, inverse(S))
         except ValueError:
             continue
+
+
+def _random_dense_image(rng):
+    g = rng.choice([aff_r(), heisenberg(1), diamond([Scalar(1, 1)])[0], direct_sum(aff_r(), aff_r())])
+    return _dense_image(rng, g)
 
 
 def _mask(key):
@@ -438,3 +443,116 @@ def test_abelian_profile_is_binomials():
         assert betti_profile(abelian(d)).b == tuple(
             comb(d, k) for k in range(d + 1)
         )
+
+
+def _monomial_image(rng, g):
+    # f_p = s_p e_{perm[p]}: ad stays diagonal wherever it was
+    n = g.dim
+    perm = list(range(n))
+    rng.shuffle(perm)
+    S = [[ZERO] * n for _ in range(n)]
+    for p in range(n):
+        S[perm[p]][p] = random_scalar(rng, allow_zero=False, complex_rate=0.5)
+    return change_basis(g, S, inverse(S))
+
+
+def _reduction_cases(seed):
+    rng = random.Random(seed)
+    cases = [aff_r(), direct_sum(aff_r(), heisenberg(1)), direct_sum(aff_r(), heisenberg(2))]
+    for make in (_random_direct_sum, _random_gaussian_diamond, _random_dense_image):
+        cases += [make(rng) for _ in range(4)]
+    for n in (1, 2, 3):
+        g, _ = diamond([random_scalar(rng, allow_zero=False, complex_rate=0.7) for _ in range(n)])
+        cases.append(_monomial_image(rng, g))
+        if n < 3:
+            cases.append(_dense_image(rng, g))
+    return cases
+
+
+def _representatives_of_the_full_complex(g, k):
+    # every exact form spans, then every cocycle basis vector of d_k that
+    # grows the span is a representative, weights ignored
+    keys = list(combinations(range(g.dim), k))
+    span = SpanBuilder()
+    if k > 0:
+        below = coboundary_matrix(g, k - 1)
+        images = [{} for _ in range(below.cols)]
+        for mask, row in below.int_rows.items():
+            for c, value in row.items():
+                images[c][mask] = value
+        for image in images:
+            span.add(image)
+    matrix = coboundary_matrix(g, k)
+    return [
+        ExteriorForm(g.dim, k, {keys[c]: value for c, value in vec.items()})
+        for vec in kernel_basis(list(matrix.int_rows.values()), matrix.cols)
+        if span.add({_mask(keys[c]): v for c, v in gaussian_row(vec, matrix.cols).items()})
+    ]
+
+
+@pytest.mark.parametrize("seed", [91, 92])
+def test_reduced_route_matches_the_full_complex(seed):
+    for g in _reduction_cases(seed):
+        n = g.dim
+        full = BettiProfile.from_ranks(
+            n, [rank_exact(coboundary_matrix(g, k)) for k in range(n + 1)]
+        )
+        assert betti_profile(g) == full
+        for k in range(n + 1):
+            assert betti(g, k) == full.b[k]
+            assert cohomology_representatives(g, k) == _representatives_of_the_full_complex(g, k)
+
+
+def test_affine_line_is_not_unimodular():
+    # tr ad(X) = 1, so b_k = b_{n-k} fails and no degree may be mirrored
+    g = aff_r()
+    assert betti_profile(g).b == (1, 1, 0)
+    assert [betti(g, k) for k in range(3)] == [1, 1, 0]
+    assert betti_profile(direct_sum(g, abelian(2))).b == (1, 3, 3, 1, 0)
+
+
+def _assembled(monkeypatch, g):
+    # (degree, columns) of every matrix betti_profile assembles
+    seen = []
+    original = cochain.coboundary_matrix
+
+    def spy(algebra, k, monomials=None):
+        matrix = original(algebra, k, monomials)
+        seen.append((k, matrix.cols))
+        return matrix
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cochain, "coboundary_matrix", spy)
+        betti_profile(g)
+    return seen
+
+
+def _weight_zero_count(weights, k):
+    # k-subsets of the basis whose joint weights, one tuple per index, cancel
+    return sum(
+        1
+        for key in combinations(range(len(weights)), k)
+        if all(sum(part) == 0 for part in zip(*(weights[q] for q in key)))
+    )
+
+
+def test_reduction_follows_the_structure_it_finds(monkeypatch):
+    rng = random.Random(93)
+    lam = [Scalar(1), Scalar(2, 1), Scalar(1, -1)]
+    g, _ = diamond(lam)
+    # ad(Y_0) is diagonal with weights lam_i on X_i and -lam_i on Y_i, also
+    # after a monomial change of basis: only the weight-0 columns, and
+    # only up to the middle degree
+    weights = [(0,)] + [(v,) for v in lam] + [(0,)] + [(-v,) for v in lam]
+    expected = [(k, _weight_zero_count(weights, k)) for k in range(4)]
+    assert sum(cols for _, cols in expected) < sum(comb(8, k) for k in range(4))
+    assert _assembled(monkeypatch, g) == expected
+    assert _assembled(monkeypatch, _monomial_image(rng, g)) == expected
+    # a dense basis leaves no diagonal ad: every column, still halved
+    h = _dense_image(rng, diamond([Scalar(1), Scalar(0, 1)])[0])
+    assert _assembled(monkeypatch, h) == [(k, comb(6, k)) for k in range(3)]
+    # two commuting diagonal ad with weights (1, 0) on Y_1 and (0, -1) on
+    # Y_2, which cancel in no component; not unimodular, so every degree
+    h = direct_sum(aff_r(), from_structure_constants(2, [(0, 1, (ZERO, -ONE))]))
+    weights = [(0, 0), (1, 0), (0, 0), (0, -1)]
+    assert _assembled(monkeypatch, h) == [(k, _weight_zero_count(weights, k)) for k in range(4)]

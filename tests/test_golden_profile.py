@@ -1,0 +1,48 @@
+"""Byte-exact ``profile`` and ``betti`` output against files in ``tests/golden``.
+
+The engine eliminates only the cochains of inner weight 0, and on a
+unimodular algebra only up to the middle degree, then rebuilds every
+``rank`` column from the Betti vector.  These files were written by the
+full-complex route, so they pin that the reduced route prints the same
+bytes: on a scaled diamond (weights and duality), a dense image of a
+diamond (no diagonal ad, duality only), heisenberg-ext (duality only)
+and aff-ext (weights only, not unimodular).  ``betti`` asks for a degree
+above the middle, which a unimodular algebra answers from its mirror.
+Regenerate a file only for a deliberate change of output format.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from liecoh.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    # diamond(2, 1/2+i) under a monomial change of basis with
+    # Gaussian-rational scalings; paths are relative so the table title
+    # does not depend on where the repository lives
+    "scaled-diamond": (["--input", "scaled-diamond.json"], 4),
+    # diamond(1, i) under a dense Gaussian-integer change of basis
+    "dense-diamond": (["--input", "dense-diamond.json"], 4),
+    "heisenberg-ext-m2-n8": (["--family", "heisenberg-ext", "--m", "2", "--n", "8"], 5),
+    "aff-ext-n5": (["--family", "aff-ext", "--n", "5"], 4),
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("command", ["profile", "betti"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_profile_and_betti_output_is_pinned(case, command, fmt, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    args, k = CASES[case]
+    argv = [command, *args, "--format", fmt]
+    name = f"profile-{case}"
+    if command == "betti":
+        argv += ["--degree", str(k)]
+        name = f"betti-{case}-k{k}"
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out == (GOLDEN / f"{name}.{fmt}.txt").read_text(encoding="utf-8")

@@ -18,7 +18,7 @@ from liecoh.errors import (
     NotSymmetric,
 )
 from liecoh.exterior import ExteriorForm, basis, contract_basis, wedge
-from liecoh.lie_algebra import abelian, aff_r, diamond
+from liecoh.lie_algebra import abelian, aff_r, diamond, direct_sum, heisenberg
 from liecoh.linalg import SpanBuilder
 from liecoh.quadratic import (
     associated_three_form,
@@ -28,7 +28,7 @@ from liecoh.quadratic import (
 )
 from liecoh.scalars import ONE, ZERO, Scalar
 
-from helpers import matmul, random_form, span_row
+from helpers import matmul, random_form, random_scalar, span_row
 
 
 def _random_lambdas(rng, n, allow_complex=True):
@@ -75,6 +75,57 @@ def test_validate_reports_invariance_failure():
     assert exc.value.triple == (1, 0, 1)
     assert exc.value.left == Scalar(-1)
     assert exc.value.right == ONE
+
+
+def _first_failure_of_every_triple(algebra, form):
+    # reference: B([e_i,e_j], e_k) against B(e_i, [e_j,e_k]) on every
+    # triple with j < k, densely, in the order j, k, i
+    n = algebra.dim
+    for j in range(n):
+        for k in range(j + 1, n):
+            vector_jk = algebra.brackets.get((j, k), {})
+            for i in range(n):
+                left = ZERO
+                for l, c in algebra.bracket_basis(i, j).items():
+                    left = left + c * form[l][k]
+                right = ZERO
+                for l, c in vector_jk.items():
+                    right = right + form[i][l] * c
+                if left != right:
+                    return (i, j, k), left, right
+    return None
+
+
+def test_invariance_failure_matches_the_dense_check_on_perturbed_forms():
+    rng = random.Random(3131)
+    outcomes = {"invariant": 0, "not invariant": 0}
+    for _ in range(60):
+        g, structure = diamond(_random_lambdas(rng, rng.randint(1, 3)))
+        if rng.random() < 0.3:
+            # a summand carrying the identity form: invariant on the
+            # abelian line, not on heisenberg(1)
+            g = direct_sum(g, heisenberg(1) if rng.random() < 0.5 else abelian(1))
+        n = g.dim
+        form = [[ZERO] * n for _ in range(n)]
+        for i, row in enumerate(structure.form):
+            form[i][: len(row)] = list(row)
+        for p in range(structure.algebra.dim, n):
+            form[p][p] = ONE
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):
+            a, b = rng.randrange(n), rng.randrange(n)
+            form[a][b] = form[b][a] = form[a][b] + random_scalar(rng, allow_zero=False)
+        expected = _first_failure_of_every_triple(g, form)
+        try:
+            validate(g, form)
+        except Degenerate:
+            continue
+        except NotInvariant as err:
+            assert (err.triple, err.left, err.right) == expected
+            outcomes["not invariant"] += 1
+        else:
+            assert expected is None
+            outcomes["invariant"] += 1
+    assert min(outcomes.values()) >= 5, outcomes
 
 
 def test_validate_abelian_any_symmetric_invertible():
