@@ -137,7 +137,7 @@ def _build_family(config: RunConfig):
         if not lam:
             raise BadInput("family 'diamond' needs at least one --lambda")
         title = "diamond(" + ",".join(str(v) for v in lam) + ")"
-        return 2 * len(lam) + 2, lambda: lie_algebra.diamond(lam)[0], title
+        return 2 * len(lam) + 2, lambda: lie_algebra.diamond_algebra(lam), title
     raise UnknownFamily(f"unknown family {name!r}; choose from {', '.join(FAMILIES)}")
 
 
@@ -453,8 +453,7 @@ def _cmd_verify(config: RunConfig) -> tuple[str, int]:
     rng = random.Random(seed)
     for _ in range(25):
         lam = _random_lambda(rng)
-        algebra, _ = lie_algebra.diamond(lam)
-        engine = cochain.betti(algebra, 2)
+        engine = cochain.betti(lie_algebra.diamond_algebra(lam), 2)
         expected = closed_forms.diamond_b2(closed_forms.lambda_classes(lam))
         checks += 1
         if engine != expected:

@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cochain import BettiProfile, betti
+from .cochain import BettiProfile, _convolve, betti
 from .errors import DegreeOutOfRange, DimensionMismatch, ZeroLambda
+from .lie_algebra import diamond_algebra
 from .scalars import Scalar
 
 __all__ = [
@@ -113,12 +114,7 @@ def kunneth_convolution(a, b) -> BettiProfile:
     """
     va = _betti_vector(a)
     vb = _betti_vector(b)
-    n = len(va) + len(vb) - 2
-    out = [0] * (n + 1)
-    for i, x in enumerate(va):
-        for j, y in enumerate(vb):
-            out[i + j] += x * y
-    return BettiProfile.from_betti(n, tuple(out))
+    return BettiProfile.from_betti(len(va) + len(vb) - 2, _convolve(va, vb))
 
 
 @dataclass(frozen=True)
@@ -198,21 +194,9 @@ def diamond_b2(spec: LambdaSpec) -> int:
 def diamond_b2_general(entries) -> int:
     """b_2 of the diamond algebra with zeros allowed among the parameters.
 
-    Zero parameters split off an abelian summand: the algebra is the
-    diamond on the nonzero entries plus a 2(n-m)-dimensional abelian
-    algebra.  b_0, b_1 and b_2 of the reduced factor go through the
-    exact engine, and the Kunneth formula with the abelian binomials
-    gives b_2 of the sum.
+    A zero lam_i leaves X_i and Y_i in no bracket, so they split off an
+    abelian summand, and so do X_0 and Y_0 when every lam_i is zero.
+    The engine's direct-sum split takes b_0..b_2 of the diamond on the
+    nonzero entries and convolves them with the abelian binomials.
     """
-    values = [Scalar.coerce(v) for v in entries]
-    nonzero = [v for v in values if v]
-    d = 2 * (len(values) - len(nonzero))
-    if nonzero:
-        from .lie_algebra import diamond
-
-        reduced_algebra, _ = diamond(nonzero)
-        low = [betti(reduced_algebra, k) for k in range(3)]
-    else:
-        # the diamond on no parameters is the abelian plane
-        low = [1, 2, 1]
-    return sum(b * binom(d, 2 - k) for k, b in enumerate(low))
+    return betti(diamond_algebra(entries), 2)

@@ -36,6 +36,19 @@ span of the exact forms exactly when it does in the full complex, and
 the reduced echelon form of a block-diagonal matrix is the union of the
 blocks' forms, so the representatives are the same forms.
 
+``betti`` and ``betti_profile`` first split the algebra into direct-sum
+factors.  Indices i, j and l are joined whenever c^l_ij != 0; each
+connected component spans an ideal, and the algebra is their direct sum
+with the abelian span of the indices in no bracket.  By the Kunneth
+formula H*(g + h) = H*(g) (x) H*(h) the Betti vector is the convolution
+of the factors' vectors, and the abelian factor of dimension a gives
+the binomials C(a, k) with no matrix.  Each other factor goes through
+the weight-0 complex above on its own indices, mirrored when that
+factor is unimodular; for b_k a factor of dimension d is needed only in
+degrees k - (n - d) to min(k, d).  ``cohomology_representatives`` keeps
+the whole algebra: Kunneth representatives would be wedge products of
+the factors' forms, not the forms it returns.
+
 ``LieAlgebra._expand_d`` walks monomials through the algebra's table of
 D d(e_l*), D the lcm of the structure constants' denominators, and
 yields each image D d(w) as nonzero Gaussian integers
@@ -187,9 +200,9 @@ def _monomials(indices, k: int):
     return zip(combinations(indices, k), map(sum, combinations(bits, k)))
 
 
-def _weights(algebra: LieAlgebra) -> tuple[dict[int, int], bool]:
-    """The nonzero joint weights of the basis indices, and whether the
-    algebra is unimodular.
+def _weights(algebra: LieAlgebra) -> tuple[dict[int, int], set[int]]:
+    """The nonzero joint weights of the basis indices, and the indices p
+    with tr ad(e_p) nonzero; the algebra is unimodular when there are none.
 
     ad(e_p) is diagonal when every bracket [e_p, e_q] is w_p(q) e_q; the
     joint weight of e_q lists D w_p(q) over those p that have a nonzero
@@ -216,10 +229,11 @@ def _weights(algebra: LieAlgebra) -> tuple[dict[int, int], bool]:
                 mixed.add(a)
             else:
                 mixed.update((a, b))
-    unimodular = all(
-        sum(re for re, _ in row.values()) == 0 and sum(im for _, im in row.values()) == 0
-        for row in along.values()
-    )
+    nonzero_trace = {
+        p
+        for p, row in along.items()
+        if sum(re for re, _ in row.values()) or sum(im for _, im in row.values())
+    }
     diagonal = [p for p in sorted(along) if p not in mixed]
     base = 2 * algebra.dim * max(
         (abs(x) for p in diagonal for w in along[p].values() for x in w), default=0
@@ -230,11 +244,12 @@ def _weights(algebra: LieAlgebra) -> tuple[dict[int, int], bool]:
             weights[q] *= base * base
         for q, (re, im) in along[p].items():
             weights[q] = weights.get(q, 0) + re * base + im
-    return weights, unimodular
+    return weights, nonzero_trace
 
 
 class _WeightZero:
-    """The monomials of weight 0 in each degree up to ``top``.
+    """The monomials of weight 0 over the increasing ``indices`` in each
+    degree up to ``top``.
 
     Indices of weight 0 are free; the rest, the charged ones, are split
     into a lower and an upper half, and a charged subset of weight 0 is a
@@ -244,9 +259,9 @@ class _WeightZero:
     has weight 0.
     """
 
-    def __init__(self, n: int, weights: dict[int, int], top: int):
-        self.free = [q for q in range(n) if q not in weights]
-        charged = sorted(weights)
+    def __init__(self, indices, weights: dict[int, int], top: int):
+        self.free = [q for q in indices if q not in weights]
+        charged = [q for q in indices if q in weights]
         low, high = charged[: len(charged) // 2], charged[len(charged) // 2 :]
         top = min(top, len(charged))
         lower: dict[tuple[int, int], list[tuple[tuple[int, ...], int]]] = {}
@@ -380,14 +395,57 @@ class BettiProfile:
         return cls.from_ranks(n, tuple(ranks))
 
 
-def _reduced_betti(algebra: LieAlgebra, degrees) -> list[int]:
-    """b_k for each k in ``degrees``, from the ranks of d on the weight-0
-    cochains, halved by duality on a unimodular algebra."""
-    n = algebra.dim
-    weights, unimodular = _weights(algebra)
+def _blocks(algebra: LieAlgebra) -> tuple[list[list[int]], int]:
+    """The index sets of the non-abelian direct-sum factors, each
+    increasing, and the dimension of the abelian factor.
+
+    Indices i, j and l are joined whenever c^l_ij is nonzero.  Each
+    connected component spans an ideal, and the algebra is their direct
+    sum with the span of the indices in no bracket.
+    """
+    block_of: dict[int, list[int]] = {}
+    for (i, j), vector in algebra.brackets.items():
+        block = block_of.setdefault(i, [i])
+        for q in (j, *vector):
+            other = block_of.get(q)
+            if other is None:
+                block.append(q)
+                block_of[q] = block
+            elif other is not block:
+                # the smaller block moves, so no index moves more than
+                # log n times
+                if len(other) > len(block):
+                    block, other = other, block
+                block.extend(other)
+                for r in other:
+                    block_of[r] = block
+    blocks = {id(block): block for block in block_of.values()}
+    return sorted(map(sorted, blocks.values())), algebra.dim - len(block_of)
+
+
+def _convolve(a, b, top: int | None = None) -> list[int]:
+    """The terms c_m = sum_i a_i b_{m-i} of the Kunneth convolution of
+    two Betti vectors, for m up to ``top`` (all of them when None)."""
+    size = len(a) + len(b) - 1
+    if top is not None:
+        size = min(size, top + 1)
+    out = [0] * size
+    for i, x in enumerate(a[:size]):
+        for j, y in enumerate(b[: size - i]):
+            out[i + j] += x * y
+    return out
+
+
+def _reduced_betti(
+    algebra: LieAlgebra, indices, weights: dict[int, int], unimodular: bool, degrees
+) -> list[int]:
+    """b_k for each k in ``degrees`` of the factor spanned by ``indices``,
+    from the ranks of d on its weight-0 cochains, halved by duality when
+    the factor is unimodular."""
+    n = len(indices)
     if unimodular:
         degrees = [min(k, n - k) for k in degrees]
-    cochains = _WeightZero(n, weights, max(degrees, default=0))
+    cochains = _WeightZero(indices, weights, max(degrees, default=0))
     ranks: dict[int, int] = {}
 
     def rank(k: int) -> int:
@@ -402,20 +460,42 @@ def _reduced_betti(algebra: LieAlgebra, degrees) -> list[int]:
     return [cochains.dim(k) - rank(k - 1) - rank(k) for k in degrees]
 
 
+def _split_betti(algebra: LieAlgebra, low: int, high: int) -> list[int]:
+    """b_low..b_high of the algebra, convolved from its factors.
+
+    A factor of dimension d is reduced only in the degrees from
+    low - (n - d) to min(high, d): no other degree of it meets a term of
+    b_low..b_high.  Below them its vector is padded with zeros, which
+    leaves the sums below b_low wrong and unread.
+    """
+    n = algebra.dim
+    blocks, free = _blocks(algebra)
+    weights, nonzero_trace = _weights(algebra)
+    out = [comb(free, j) for j in range(min(high, free) + 1)]
+    for block in blocks:
+        d = len(block)
+        first = max(0, low - (n - d))
+        degrees = range(first, min(high, d) + 1)
+        unimodular = nonzero_trace.isdisjoint(block)
+        part = [0] * first + _reduced_betti(algebra, block, weights, unimodular, degrees)
+        out = _convolve(out, part, high)
+    return out[low : high + 1]
+
+
 def betti(algebra: LieAlgebra, k: int) -> int:
-    """The k-th Betti number from the ranks of d on the weight-0 cochains
-    next to degree k, or next to n - k on a unimodular algebra."""
+    """The k-th Betti number, convolved from the factors' Betti numbers
+    next to degree k, each from the ranks of d on its weight-0 cochains."""
     n = algebra.dim
     if not (0 <= k <= n):
         raise DegreeOutOfRange(f"degree {k} outside 0..{n}")
-    return _reduced_betti(algebra, [k])[0]
+    return _split_betti(algebra, k, k)[0]
 
 
 def betti_profile(algebra: LieAlgebra) -> BettiProfile:
     """All Betti numbers of the algebra, with the ranks of the full
     coboundaries they force."""
     n = algebra.dim
-    return BettiProfile.from_betti(n, _reduced_betti(algebra, range(n + 1)))
+    return BettiProfile.from_betti(n, _split_betti(algebra, 0, n))
 
 
 def cocycle_basis(algebra: LieAlgebra, k: int) -> list[ExteriorForm]:
@@ -466,7 +546,7 @@ def cohomology_representatives(algebra: LieAlgebra, k: int) -> list[ExteriorForm
     n = algebra.dim
     if not (0 <= k <= n):
         raise DegreeOutOfRange(f"degree {k} outside 0..{n}")
-    cochains = _WeightZero(n, _weights(algebra)[0], k)
+    cochains = _WeightZero(range(n), _weights(algebra)[0], k)
     span = linalg.SpanBuilder()
     if k > 0:
         for image in algebra._expand_d(cochains.monomials(k - 1)):

@@ -22,7 +22,8 @@ Families used throughout:
   n parameters:  basis (X_0..X_n, Y_0..Y_n) with [Y_0, X_i] = lam_i X_i,
   [Y_0, Y_i] = -lam_i Y_i and [X_i, Y_i] = lam_i X_0, carrying the
   hyperbolic invariant form pairing X_i with Y_i.  Returns the algebra
-  together with its quadratic structure.
+  together with its quadratic structure; ``diamond_algebra(lam)`` builds
+  the algebra alone and checks no form.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "abelian",
     "heisenberg",
     "diamond",
+    "diamond_algebra",
     "direct_sum",
     "derived_ideal_dim",
     "change_basis",
@@ -268,12 +270,11 @@ def heisenberg(m: int) -> LieAlgebra:
     return LieAlgebra(2 * m + 1, table, labels=labels)
 
 
-def diamond(lam):
-    """The generalized diamond algebra with its invariant form.
+def diamond_algebra(lam) -> LieAlgebra:
+    """The generalized diamond algebra alone, without its invariant form.
 
-    ``lam`` is a sequence of n scalars (zeros allowed).  Returns the
-    pair (algebra, quadratic structure); the algebra has dimension
-    2n+2 with basis order (X_0..X_n, Y_0..Y_n).
+    ``lam`` is a sequence of n scalars (zeros allowed); the algebra has
+    dimension 2n+2 with basis order (X_0..X_n, Y_0..Y_n).
     """
     entries = [Scalar.coerce(v) for v in lam]
     n = len(entries)
@@ -287,7 +288,18 @@ def diamond(lam):
         table[(n + 1, n + 1 + i)] = {n + 1 + i: -value}
         table[(i, n + 1 + i)] = {0: value}
     labels = tuple(f"X{k}" for k in range(n + 1)) + tuple(f"Y{k}" for k in range(n + 1))
-    algebra = LieAlgebra(dim, table, labels=labels)
+    return LieAlgebra(dim, table, labels=labels)
+
+
+def diamond(lam):
+    """The generalized diamond algebra with its invariant form.
+
+    Returns the pair (``diamond_algebra(lam)``, quadratic structure),
+    the form pairing X_i with Y_i.
+    """
+    algebra = diamond_algebra(lam)
+    dim = algebra.dim
+    n = dim // 2 - 1
     form = [[ZERO] * dim for _ in range(dim)]
     for i in range(n + 1):
         form[i][n + 1 + i] = ONE

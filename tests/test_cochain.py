@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import comb
 
 import pytest
@@ -445,15 +445,30 @@ def test_abelian_profile_is_binomials():
         )
 
 
-def _monomial_image(rng, g):
+def _monomial_image(rng, g, perm=None):
     # f_p = s_p e_{perm[p]}: ad stays diagonal wherever it was
     n = g.dim
-    perm = list(range(n))
-    rng.shuffle(perm)
+    if perm is None:
+        perm = list(range(n))
+        rng.shuffle(perm)
     S = [[ZERO] * n for _ in range(n)]
     for p in range(n):
         S[perm[p]][p] = random_scalar(rng, allow_zero=False, complex_rate=0.5)
     return change_basis(g, S, inverse(S))
+
+
+def _interleaved_sum(rng, summands):
+    # a monomial image of the direct sum that deals the summands' indices
+    # out in turn, so no factor is a run of consecutive indices
+    g = summands[0]
+    for other in summands[1:]:
+        g = direct_sum(g, other)
+    starts = [0]
+    for other in summands:
+        starts.append(starts[-1] + other.dim)
+    blocks = [range(a, b) for a, b in zip(starts, starts[1:])]
+    perm = [q for turn in zip_longest(*blocks) for q in turn if q is not None]
+    return _monomial_image(rng, g, perm)
 
 
 def _reduction_cases(seed):
@@ -461,6 +476,14 @@ def _reduction_cases(seed):
     cases = [aff_r(), direct_sum(aff_r(), heisenberg(1)), direct_sum(aff_r(), heisenberg(2))]
     for make in (_random_direct_sum, _random_gaussian_diamond, _random_dense_image):
         cases += [make(rng) for _ in range(4)]
+    lam = random_scalar(rng, allow_zero=False, complex_rate=0.7)
+    # the weight-0 cochains of one factor must not pick up the charged
+    # indices of another, here X_1 and Y_1 of the diamond
+    cases += [
+        _interleaved_sum(rng, [aff_r(), heisenberg(1), abelian(2)]),
+        _interleaved_sum(rng, [aff_r(), diamond([lam])[0], abelian(1)]),
+        _interleaved_sum(rng, [heisenberg(1), diamond([lam])[0], abelian(1)]),
+    ]
     for n in (1, 2, 3):
         g, _ = diamond([random_scalar(rng, allow_zero=False, complex_rate=0.7) for _ in range(n)])
         cases.append(_monomial_image(rng, g))
@@ -551,8 +574,14 @@ def test_reduction_follows_the_structure_it_finds(monkeypatch):
     # a dense basis leaves no diagonal ad: every column, still halved
     h = _dense_image(rng, diamond([Scalar(1), Scalar(0, 1)])[0])
     assert _assembled(monkeypatch, h) == [(k, comb(6, k)) for k in range(3)]
-    # two commuting diagonal ad with weights (1, 0) on Y_1 and (0, -1) on
-    # Y_2, which cancel in no component; not unimodular, so every degree
+    # two affine lines, with weights 1 on Y_1 and -i on Y_2: each factor
+    # alone, over its one weight-0 column X in degrees 0 and 1; not
+    # unimodular, so no degree is mirrored
     h = direct_sum(aff_r(), from_structure_constants(2, [(0, 1, (ZERO, -ONE))]))
-    weights = [(0, 0), (1, 0), (0, 0), (0, -1)]
-    assert _assembled(monkeypatch, h) == [(k, _weight_zero_count(weights, k)) for k in range(4)]
+    line = [(k, _weight_zero_count([(0,), (1,)], k)) for k in range(2)]
+    assert line == [(0, 1), (1, 1)]
+    assert _assembled(monkeypatch, h) == line + line
+    # the abelian summand of h_7 + a_5 takes no matrix; h_7 has no diagonal
+    # ad and is unimodular, so all its columns up to its middle degree
+    h = direct_sum(heisenberg(3), abelian(5))
+    assert _assembled(monkeypatch, h) == [(k, comb(7, k)) for k in range(4)]

@@ -20,6 +20,7 @@ from liecoh.lie_algebra import (
     change_basis,
     derived_ideal_dim,
     diamond,
+    diamond_algebra,
     direct_sum,
     from_structure_constants,
     heisenberg,
@@ -189,6 +190,19 @@ def test_diamond_zero_parameters_abelian():
     assert g.dim == 6
     assert g.brackets == {}
     assert derived_ideal_dim(g) == 0
+
+
+def test_diamond_algebra_builds_no_form(monkeypatch):
+    from liecoh import quadratic
+
+    lam = [Fraction(2), Scalar(0, -1), 0]
+    g, _ = diamond(lam)
+
+    def refuse(*args):
+        raise AssertionError("diamond_algebra validated a form")
+
+    monkeypatch.setattr(quadratic, "validate", refuse)
+    assert diamond_algebra(lam) == g
 
 
 def test_derived_ideal_examples():
