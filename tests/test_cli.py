@@ -278,6 +278,9 @@ def test_error_exit_codes(capsys, tmp_path):
     # malformed scalar
     code, _, err = run(capsys, "diamond-b2", "--lambda", "1.5")
     assert code == 2 and "error:" in err
+    # a malformed scalar is refused even where the family ignores --lambda
+    code, out, err = run(capsys, "profile", "--family", "heisenberg", "--m", "1", "--lambda", "1.5")
+    assert (code, out) == (2, "") and err == "error: cannot parse scalar '1.5'\n"
     # missing family parameter
     code, _, err = run(capsys, "profile", "--family", "heisenberg")
     assert code == 2 and "--m" in err

@@ -27,7 +27,7 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cocycles_output_is_pinned(case, fmt, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)

@@ -1,4 +1,5 @@
-"""Byte-exact ``profile`` and ``betti`` output against files in ``tests/golden``.
+"""Byte-exact ``profile``, ``betti`` and ``diamond-b2`` output against files
+in ``tests/golden``.
 
 The engine eliminates only the cochains of inner weight 0, and on a
 unimodular algebra only up to the middle degree, then rebuilds every
@@ -46,3 +47,25 @@ def test_profile_and_betti_output_is_pinned(case, command, fmt, capsys, monkeypa
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
     assert captured.out == (GOLDEN / f"{name}.{fmt}.txt").read_text(encoding="utf-8")
+
+
+DIAMOND_B2_CASES = {
+    # all parameters nonzero: the closed form, with its classes; the
+    # leading dash of -1/2+i is a value, not a flag
+    "classes": ["1", "1", "-1", "2", "-1/2+i"],
+    # a zero parameter: the count goes through the exact engine
+    "zero": ["1", "0", "-i"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("case", sorted(DIAMOND_B2_CASES))
+def test_diamond_b2_output_is_pinned(case, fmt, capsys):
+    argv = ["diamond-b2", "--format", fmt]
+    for value in DIAMOND_B2_CASES[case]:
+        argv += ["--lambda", value]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    expected = (GOLDEN / f"diamond-b2-{case}.{fmt}.txt").read_text(encoding="utf-8")
+    assert captured.out == expected
