@@ -15,6 +15,12 @@ Output is ``table`` (default), ``json`` or ``csv`` and goes to stdout
 or ``--output``.  ``profile --format json`` documents are accepted back
 by ``verify --input`` for an end-to-end recomputation check.
 
+Each option is declared once, on a parent parser that every subcommand
+taking it shares; each subcommand's handler takes the parsed argparse
+namespace and returns (text, exit code).  A ``--lambda`` value that does
+not parse is refused by every command that accepts the option, whether
+or not the chosen algebra uses it.
+
 Exit codes: 0 success, 1 verification found a counterexample, 2 bad
 input or I/O trouble.  A command whose cochain spaces would exceed
 MAX_COCHAIN_DIM monomials is bad input, refused before it builds them.
@@ -32,7 +38,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -40,7 +45,7 @@ from . import closed_forms, cochain, exterior, lie_algebra
 from .errors import BadInput, IOFailure, LieCohError, UnknownFamily, ZeroLambda
 from .scalars import Scalar, parse_scalar
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 DEFAULT_SEED = 171717
 # the largest cochain space a run may touch; the biggest one the tests
@@ -49,47 +54,12 @@ MAX_COCHAIN_DIM = 10**6
 FAMILIES = ("aff", "abelian", "heisenberg", "aff-ext", "heisenberg-ext", "diamond")
 
 
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, validated."""
-
-    command: str
-    family: str | None = None
-    input_path: str | None = None
-    degree: int | None = None
-    fmt: str = "table"
-    output: str | None = None
-    m: int | None = None
-    d: int | None = None
-    n: int | None = None
-    lam: list[Scalar] = field(default_factory=list)
-    seed: int | None = None
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        lam = []
-        for text in getattr(args, "lam", None) or []:
-            try:
-                lam.append(parse_scalar(text))
-            except ValueError as err:
-                raise BadInput(str(err)) from None
-        config = cls(
-            command=args.command,
-            family=getattr(args, "family", None),
-            input_path=getattr(args, "input", None),
-            degree=getattr(args, "degree", None),
-            fmt=getattr(args, "fmt", "table"),
-            output=getattr(args, "output", None),
-            m=getattr(args, "m", None),
-            d=getattr(args, "d", None),
-            n=getattr(args, "n", None),
-            lam=lam,
-            seed=getattr(args, "seed", None),
-        )
-        if config.command in ("betti", "profile", "cocycles", "export-matrix"):
-            if (config.family is None) == (config.input_path is None):
-                raise BadInput("choose exactly one algebra source: --family or --input")
-        return config
+def _lambdas(args: argparse.Namespace) -> list[Scalar]:
+    """The ``--lambda`` values as scalars; BadInput on the first malformed one."""
+    try:
+        return [parse_scalar(text) for text in args.lam or ()]
+    except ValueError as err:
+        raise BadInput(str(err)) from None
 
 
 def _need(value, flag: str, family: str):
@@ -98,21 +68,21 @@ def _need(value, flag: str, family: str):
     return value
 
 
-def _build_family(config: RunConfig):
-    """(dimension, builder, title) of a built-in family.  The dimension
-    comes from the parameters alone, so it can be checked before the
-    builder makes the algebra."""
-    name = config.family
+def _build_family(args: argparse.Namespace, lam: list[Scalar]):
+    """(dimension, builder, title) of a built-in family, with lam the
+    parsed ``--lambda`` values.  The dimension comes from the parameters
+    alone, so it can be checked before the builder makes the algebra."""
+    name = args.family
     if name == "aff":
         return 2, lie_algebra.aff_r, "aff"
     if name == "abelian":
-        d = _need(config.d, "--d", name)
+        d = _need(args.d, "--d", name)
         return d, lambda: lie_algebra.abelian(d), f"abelian(d={d})"
     if name == "heisenberg":
-        m = _need(config.m, "--m", name)
+        m = _need(args.m, "--m", name)
         return 2 * m + 1, lambda: lie_algebra.heisenberg(m), f"heisenberg(m={m})"
     if name == "aff-ext":
-        n = _need(config.n, "--n", name)
+        n = _need(args.n, "--n", name)
         if n < 2:
             raise BadInput("aff-ext needs --n >= 2")
 
@@ -121,8 +91,8 @@ def _build_family(config: RunConfig):
 
         return n, build, f"aff-ext(n={n})"
     if name == "heisenberg-ext":
-        m = _need(config.m, "--m", name)
-        n = _need(config.n, "--n", name)
+        m = _need(args.m, "--m", name)
+        n = _need(args.n, "--n", name)
         if n < 2 * m + 1:
             raise BadInput("heisenberg-ext needs --n >= 2m+1")
 
@@ -133,7 +103,6 @@ def _build_family(config: RunConfig):
 
         return n, build, f"heisenberg-ext(m={m}, n={n})"
     if name == "diamond":
-        lam = config.lam
         if not lam:
             raise BadInput("family 'diamond' needs at least one --lambda")
         title = "diamond(" + ",".join(str(v) for v in lam) + ")"
@@ -155,14 +124,19 @@ def _read_json(path: str):
         raise BadInput(f"{path} is nested too deeply to read") from None
 
 
-def _load_algebra(config: RunConfig, degrees) -> tuple[lie_algebra.LieAlgebra, str]:
-    """The chosen algebra and its title, after ``_check_size`` has passed
-    the dimension n it declares at ``degrees(n)``."""
-    if config.family is not None:
-        n, build, title = _build_family(config)
+def _load_algebra(args: argparse.Namespace, degrees) -> tuple[lie_algebra.LieAlgebra, str]:
+    """The algebra chosen by exactly one of ``--family`` and ``--input``,
+    and its title, after ``_check_size`` has passed the dimension n it
+    declares at ``degrees(n)``.  The ``--lambda`` values are checked
+    first, whether or not the family uses them."""
+    lam = _lambdas(args)
+    if (args.family is None) == (args.input is None):
+        raise BadInput("choose exactly one algebra source: --family or --input")
+    if args.family is not None:
+        n, build, title = _build_family(args, lam)
         _check_size(n, degrees(n))
         return build(), title
-    path = config.input_path
+    path = args.input
     return _algebra_from_doc(path, _read_json(path), degrees), f"algebra from {path}"
 
 
@@ -232,11 +206,11 @@ def _render_table(headers, rows) -> str:
 _PROFILE_HEADERS = ("degree", "cochain_dim", "rank_below", "rank", "betti")
 
 
-def _cmd_profile(config: RunConfig) -> tuple[str, int]:
-    algebra, title = _load_algebra(config, _middle_degree)
+def _cmd_profile(args: argparse.Namespace) -> tuple[str, int]:
+    algebra, title = _load_algebra(args, _middle_degree)
     profile = cochain.betti_profile(algebra)
     rows = _profile_rows(profile)
-    if config.fmt == "json":
+    if args.fmt == "json":
         doc = {
             "command": "profile",
             "algebra": lie_algebra.algebra_to_json(algebra),
@@ -247,18 +221,18 @@ def _cmd_profile(config: RunConfig) -> tuple[str, int]:
             "images": list(profile.images),
         }
         return json.dumps(doc, indent=2) + "\n", 0
-    if config.fmt == "csv":
+    if args.fmt == "csv":
         return _csv_text(_PROFILE_HEADERS, rows), 0
     body = _render_table(_PROFILE_HEADERS, rows)
     profile_line = "profile: " + " ".join(str(v) for v in profile.b)
     return f"{title}  dim {profile.n}\n{body}\n{profile_line}\n", 0
 
 
-def _cmd_betti(config: RunConfig) -> tuple[str, int]:
-    k = config.degree
-    algebra, title = _load_algebra(config, lambda n: [k - 1, k, k + 1])
+def _cmd_betti(args: argparse.Namespace) -> tuple[str, int]:
+    k = args.degree
+    algebra, title = _load_algebra(args, lambda n: [k - 1, k, k + 1])
     value = cochain.betti(algebra, k)
-    if config.fmt == "json":
+    if args.fmt == "json":
         doc = {
             "command": "betti",
             "algebra": lie_algebra.algebra_to_json(algebra),
@@ -266,18 +240,18 @@ def _cmd_betti(config: RunConfig) -> tuple[str, int]:
             "betti": value,
         }
         return json.dumps(doc, indent=2) + "\n", 0
-    if config.fmt == "csv":
+    if args.fmt == "csv":
         return _csv_text(("degree", "betti"), [(k, value)]), 0
     return f"{value}\n", 0
 
 
-def _cmd_cocycles(config: RunConfig) -> tuple[str, int]:
-    k = config.degree
-    algebra, title = _load_algebra(config, lambda n: [k - 1, k, k + 1])
+def _cmd_cocycles(args: argparse.Namespace) -> tuple[str, int]:
+    k = args.degree
+    algebra, title = _load_algebra(args, lambda n: [k - 1, k, k + 1])
     representatives = cochain.cohomology_representatives(algebra, k)
     names = _names_for(algebra)
     rendered = [exterior.format_form(w, names) for w in representatives]
-    if config.fmt == "json":
+    if args.fmt == "json":
         doc = {
             "command": "cocycles",
             "algebra": lie_algebra.algebra_to_json(algebra),
@@ -286,7 +260,7 @@ def _cmd_cocycles(config: RunConfig) -> tuple[str, int]:
             "representatives": rendered,
         }
         return json.dumps(doc, indent=2) + "\n", 0
-    if config.fmt == "csv":
+    if args.fmt == "csv":
         return _csv_text(("index", "representative"), list(enumerate(rendered))), 0
     lines = [f"{title}  degree {k}  b_{k} = {len(rendered)}"]
     for text in rendered:
@@ -294,17 +268,17 @@ def _cmd_cocycles(config: RunConfig) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
-def _cmd_export_matrix(config: RunConfig) -> tuple[str, int]:
-    k = config.degree
-    algebra, _ = _load_algebra(config, lambda n: [k, k + 1])
+def _cmd_export_matrix(args: argparse.Namespace) -> tuple[str, int]:
+    k = args.degree
+    algebra, _ = _load_algebra(args, lambda n: [k, k + 1])
     matrix = cochain.coboundary_matrix(algebra, k)
     return matrix.to_coordinate_text(), 0
 
 
-def _cmd_diamond_b2(config: RunConfig) -> tuple[str, int]:
-    if not config.lam:
+def _cmd_diamond_b2(args: argparse.Namespace) -> tuple[str, int]:
+    entries = _lambdas(args)
+    if not entries:
         raise BadInput("diamond-b2 needs at least one --lambda")
-    entries = config.lam
     try:
         spec = closed_forms.lambda_classes(entries)
         value = closed_forms.diamond_b2(spec)
@@ -324,7 +298,7 @@ def _cmd_diamond_b2(config: RunConfig) -> tuple[str, int]:
         _check_size(2 * sum(1 for v in entries if v) + 2, [1, 2, 3])
         value = closed_forms.diamond_b2_general(entries)
         classes = None
-    if config.fmt == "json":
+    if args.fmt == "json":
         doc = {
             "command": "diamond-b2",
             "lambda": [str(v) for v in entries],
@@ -333,7 +307,7 @@ def _cmd_diamond_b2(config: RunConfig) -> tuple[str, int]:
         if classes is not None:
             doc["classes"] = classes
         return json.dumps(doc, indent=2) + "\n", 0
-    if config.fmt == "csv":
+    if args.fmt == "csv":
         return _csv_text(("b2",), [(value,)]), 0
     lines = [f"b2 = {value}"]
     if spec is not None:
@@ -393,10 +367,10 @@ def _verify_profile_doc(path: str) -> tuple[str, int]:
     return f"ok: {path} matches recomputation (dim {profile.n})\n", 0
 
 
-def _cmd_verify(config: RunConfig) -> tuple[str, int]:
-    if config.input_path is not None:
-        return _verify_profile_doc(config.input_path)
-    seed = config.seed
+def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+    if args.input is not None:
+        return _verify_profile_doc(args.input)
+    seed = args.seed
     if seed is None:
         env = os.environ.get("LIECOH_SEED")
         if env is not None:
@@ -474,83 +448,55 @@ def _csv_text(headers, rows) -> str:
     return buffer.getvalue()
 
 
-_HANDLERS = {
-    "betti": _cmd_betti,
-    "profile": _cmd_profile,
-    "cocycles": _cmd_cocycles,
-    "export-matrix": _cmd_export_matrix,
-    "diamond-b2": _cmd_diamond_b2,
-    "verify": _cmd_verify,
-}
+def build_parser() -> argparse.ArgumentParser:
+    def parent(*parents) -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
 
-
-def _add_algebra_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--family", choices=FAMILIES, help="built-in algebra family")
-    parser.add_argument("--input", metavar="PATH", help="JSON algebra file")
-    parser.add_argument("--m", type=int, help="Heisenberg parameter")
-    parser.add_argument("--d", type=int, help="abelian dimension")
-    parser.add_argument("--n", type=int, help="total dimension for the -ext families")
-    parser.add_argument(
+    source = parent()
+    source.add_argument(
+        "--input", metavar="PATH", help="JSON algebra file (verify: a profile JSON to re-check)"
+    )
+    lam = parent()
+    lam.add_argument(
         "--lambda",
         dest="lam",
         action="append",
         metavar="SCALAR",
         help="diamond parameter, repeatable; grammar like 1, -1/2, 1/2+3/4i",
     )
-
-
-def _add_output_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+    algebra = parent(source, lam)
+    algebra.add_argument("--family", choices=FAMILIES, help="built-in algebra family")
+    algebra.add_argument("--m", type=int, help="Heisenberg parameter")
+    algebra.add_argument("--d", type=int, help="abelian dimension")
+    algebra.add_argument("--n", type=int, help="total dimension for the -ext families")
+    degree = parent()
+    degree.add_argument("--degree", type=int, required=True)
+    seed = parent()
+    seed.add_argument("--seed", type=int, help="random seed for the diamond sweep")
+    output = parent()
+    output.add_argument(
         "--format",
         dest="fmt",
         choices=("table", "json", "csv"),
         default="table",
         help="output format (default table)",
     )
-    parser.add_argument("--output", metavar="PATH", help="write output to a file")
+    output.add_argument("--output", metavar="PATH", help="write output to a file")
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liecoh",
         description="Exact Lie algebra cohomology with trivial coefficients.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("betti", help="one Betti number")
-    _add_algebra_options(p)
-    _add_output_options(p)
-    p.add_argument("--degree", type=int, required=True)
-
-    p = sub.add_parser("profile", help="full Betti profile")
-    _add_algebra_options(p)
-    _add_output_options(p)
-
-    p = sub.add_parser("cocycles", help="cohomology class representatives")
-    _add_algebra_options(p)
-    _add_output_options(p)
-    p.add_argument("--degree", type=int, required=True)
-
-    p = sub.add_parser("export-matrix", help="one coboundary matrix as text")
-    _add_algebra_options(p)
-    _add_output_options(p)
-    p.add_argument("--degree", type=int, required=True)
-
-    p = sub.add_parser("diamond-b2", help="degree-2 count for diamond parameters")
-    _add_output_options(p)
-    p.add_argument(
-        "--lambda",
-        dest="lam",
-        action="append",
-        metavar="SCALAR",
-        help="diamond parameter, repeatable",
-    )
-
-    p = sub.add_parser("verify", help="sweep closed formulas against the engine")
-    _add_output_options(p)
-    p.add_argument("--seed", type=int, help="random seed for the diamond sweep")
-    p.add_argument("--input", metavar="PATH", help="re-check an emitted profile JSON")
-
+    for name, handler, text, parents in (
+        ("betti", _cmd_betti, "one Betti number", [algebra, degree]),
+        ("profile", _cmd_profile, "full Betti profile", [algebra]),
+        ("cocycles", _cmd_cocycles, "cohomology class representatives", [algebra, degree]),
+        ("export-matrix", _cmd_export_matrix, "one coboundary matrix as text", [algebra, degree]),
+        ("diamond-b2", _cmd_diamond_b2, "degree-2 count for diamond parameters", [lam]),
+        ("verify", _cmd_verify, "sweep closed formulas against the engine", [source, seed]),
+    ):
+        sub.add_parser(name, help=text, parents=[*parents, output]).set_defaults(handler=handler)
     return parser
 
 
@@ -571,22 +517,20 @@ def _absorb_lambda_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_absorb_lambda_values(list(argv)))
+    args = build_parser().parse_args(_absorb_lambda_values(list(argv)))
     try:
-        config = RunConfig.from_args(args)
-        text, code = _HANDLERS[config.command](config)
+        text, code = args.handler(args)
     except LieCohError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if config.output:
+    if args.output:
         try:
-            with open(config.output, "w", encoding="utf-8") as handle:
+            with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as err:
-            print(f"error: cannot write {config.output}: {err}", file=sys.stderr)
+            print(f"error: cannot write {args.output}: {err}", file=sys.stderr)
             return 2
     else:
         sys.stdout.write(text)

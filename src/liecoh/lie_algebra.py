@@ -333,16 +333,16 @@ def derived_ideal_dim(algebra: LieAlgebra) -> int:
     )
 
 
-def change_basis(algebra: LieAlgebra, matrix, inverse_matrix=None) -> LieAlgebra:
+def change_basis(algebra: LieAlgebra, matrix) -> LieAlgebra:
     """Structure constants in the basis f_p = sum_l matrix[l][p] e_l.
 
     The result is validated like any other construction; a change of
-    basis of a Lie algebra always passes.
+    basis of a Lie algebra always passes.  ValueError if matrix is
+    singular.
     """
     n = algebra.dim
     cols = [[Scalar.coerce(matrix[l][p]) for l in range(n)] for p in range(n)]
-    if inverse_matrix is None:
-        inverse_matrix = linalg.inverse(matrix)
+    inverse = linalg.inverse(matrix)
     table: dict[tuple[int, int], dict[int, Scalar]] = {}
     for p in range(n):
         for q in range(p + 1, n):
@@ -351,7 +351,7 @@ def change_basis(algebra: LieAlgebra, matrix, inverse_matrix=None) -> LieAlgebra
             for l in range(n):
                 value = ZERO
                 for s in range(n):
-                    value = value + Scalar.coerce(inverse_matrix[l][s]) * old_coords[s]
+                    value = value + inverse[l][s] * old_coords[s]
                 if value:
                     vector[l] = value
             if vector:

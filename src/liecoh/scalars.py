@@ -146,23 +146,26 @@ def parse_scalar(text: str) -> Scalar:
 
     Accepts ``p``, ``p/q``, ``ri``, ``r/si``, ``i`` and signed
     combinations such as ``1/2-3/4i``.  Raises ValueError on anything
-    else (floats and empty strings included).
+    else (floats, empty strings and zero denominators included).
     """
     match = _SCALAR_RE.match(text)
     if match is None or (match.group("re") is None and match.group("im") is None):
         raise ValueError(f"cannot parse scalar {text!r}")
     re_part = Fraction(0)
     im_part = Fraction(0)
-    if match.group("re") is not None:
-        re_part = Fraction(match.group("re"))
-    if match.group("im") is not None:
-        body = match.group("im")[:-1]
-        if body in ("", "+"):
-            im_part = Fraction(1)
-        elif body == "-":
-            im_part = Fraction(-1)
-        else:
-            im_part = Fraction(body)
+    try:
+        if match.group("re") is not None:
+            re_part = Fraction(match.group("re"))
+        if match.group("im") is not None:
+            body = match.group("im")[:-1]
+            if body in ("", "+"):
+                im_part = Fraction(1)
+            elif body == "-":
+                im_part = Fraction(-1)
+            else:
+                im_part = Fraction(body)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {text!r}") from None
     return Scalar(re_part, im_part)
 
 

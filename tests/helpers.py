@@ -20,7 +20,7 @@ from liecoh.lie_algebra import (
     direct_sum,
     heisenberg,
 )
-from liecoh.linalg import gaussian_row, inverse
+from liecoh.linalg import gaussian_row
 from liecoh.scalars import ONE, ZERO, Scalar
 
 
@@ -133,5 +133,5 @@ def random_algebra(rng, max_dim=6):
             g = direct_sum(g, other)
     if rng.random() < 0.6:
         S = random_invertible(rng, g.dim)
-        g = change_basis(g, S, inverse(S))
+        g = change_basis(g, S)
     return g

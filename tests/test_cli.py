@@ -5,12 +5,13 @@ import resource
 import shlex
 import subprocess
 import sys
+from argparse import Namespace
 from pathlib import Path
 
 import pytest
 
 import liecoh
-from liecoh.cli import DEFAULT_SEED, RunConfig, _build_family, main
+from liecoh.cli import DEFAULT_SEED, _build_family, main
 from liecoh.closed_forms import diamond_b2, lambda_classes
 from liecoh.errors import BadInput, UnknownFamily
 from liecoh.lie_algebra import algebra_to_json, heisenberg
@@ -281,6 +282,8 @@ def test_error_exit_codes(capsys, tmp_path):
     # a malformed scalar is refused even where the family ignores --lambda
     code, out, err = run(capsys, "profile", "--family", "heisenberg", "--m", "1", "--lambda", "1.5")
     assert (code, out) == (2, "") and err == "error: cannot parse scalar '1.5'\n"
+    code, out, err = run(capsys, "diamond-b2", "--lambda", "1/0")
+    assert (code, out) == (2, "") and err == "error: zero denominator in scalar '1/0'\n"
     # missing family parameter
     code, _, err = run(capsys, "profile", "--family", "heisenberg")
     assert code == 2 and "--m" in err
@@ -314,11 +317,11 @@ def test_error_exit_codes(capsys, tmp_path):
 
 
 def test_unknown_family_guard():
-    config = RunConfig(command="profile", family="nonsense")
     with pytest.raises(UnknownFamily):
-        _build_family(config)
+        _build_family(Namespace(family="nonsense"), [])
+    # a diamond with no --lambda
     with pytest.raises(BadInput):
-        _build_family(RunConfig(command="profile", family="diamond"))
+        _build_family(Namespace(family="diamond"), [])
 
 
 def test_aff_ext_dimension_guard(capsys):

@@ -29,7 +29,7 @@ from liecoh.lie_algebra import (
     from_structure_constants,
     heisenberg,
 )
-from liecoh.linalg import SpanBuilder, gaussian_row, inverse, kernel_basis
+from liecoh.linalg import SpanBuilder, gaussian_row, kernel_basis
 from liecoh.scalars import ONE, ZERO, Scalar
 
 from helpers import (
@@ -160,7 +160,7 @@ def _dense_image(rng, g):
             for _ in range(g.dim)
         ]
         try:
-            return change_basis(g, S, inverse(S))
+            return change_basis(g, S)
         except ValueError:
             continue
 
@@ -454,7 +454,7 @@ def _monomial_image(rng, g, perm=None):
     S = [[ZERO] * n for _ in range(n)]
     for p in range(n):
         S[perm[p]][p] = random_scalar(rng, allow_zero=False, complex_rate=0.5)
-    return change_basis(g, S, inverse(S))
+    return change_basis(g, S)
 
 
 def _interleaved_sum(rng, summands):

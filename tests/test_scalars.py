@@ -111,7 +111,7 @@ def test_parse_examples():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "1.5", "x", "1 + i", "i+1", "1/", "/2", "++1", "1+i+1"):
+    for bad in ("", "1.5", "x", "1 + i", "i+1", "1/", "/2", "++1", "1+i+1", "1/0", "1-1/0i"):
         with pytest.raises(ValueError):
             parse_scalar(bad)
 
