@@ -6,9 +6,11 @@ unimodular algebra only up to the middle degree, then rebuilds every
 ``rank`` column from the Betti vector.  These files were written by the
 full-complex route, so they pin that the reduced route prints the same
 bytes: on a scaled diamond (weights and duality), a dense image of a
-diamond (no diagonal ad, duality only), heisenberg-ext (duality only)
-and aff-ext (weights only, not unimodular).  ``betti`` asks for a degree
-above the middle, which a unimodular algebra answers from its mirror.
+diamond (no diagonal ad, duality only), heisenberg-ext (duality only),
+aff-ext (weights only, not unimodular) and dense images of h_5 + a_1 and
+aff + a_3, whose derived ideal is one-dimensional.  ``betti`` asks for a
+degree above the middle, which a unimodular algebra answers from its
+mirror.
 Regenerate a file only for a deliberate change of output format.
 """
 
@@ -27,6 +29,9 @@ CASES = {
     "scaled-diamond": (["--input", "scaled-diamond.json"], 4),
     # diamond(1, i) under a dense Gaussian-integer change of basis
     "dense-diamond": (["--input", "dense-diamond.json"], 4),
+    # h_5 + a_1 and aff + a_3 under dense Gaussian-integer changes of basis
+    "dense-heis": (["--input", "dense-heis.json"], 4),
+    "dense-aff": (["--input", "dense-aff.json"], 3),
     "heisenberg-ext-m2-n8": (["--family", "heisenberg-ext", "--m", "2", "--n", "8"], 5),
     "aff-ext-n5": (["--family", "aff-ext", "--n", "5"], 4),
 }
