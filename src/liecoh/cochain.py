@@ -42,12 +42,27 @@ connected component spans an ideal, and the algebra is their direct sum
 with the abelian span of the indices in no bracket.  By the Kunneth
 formula H*(g + h) = H*(g) (x) H*(h) the Betti vector is the convolution
 of the factors' vectors, and the abelian factor of dimension a gives
-the binomials C(a, k) with no matrix.  Each other factor goes through
-the weight-0 complex above on its own indices, mirrored when that
-factor is unimodular; for b_k a factor of dimension d is needed only in
-degrees k - (n - d) to min(k, d).  ``cohomology_representatives`` keeps
-the whole algebra: Kunneth representatives would be wedge products of
-the factors' forms, not the forms it returns.
+the binomials C(a, k) with no matrix.
+
+A factor whose brackets are all multiples of one vector z has a
+one-dimensional derived ideal: it is in the class MD(n, 1) whose
+cohomology the paper describes, and in a suitable basis it is
+aff + a_{d-2} or h_{2m+1} + a_{d-2m-1}.  When z is not central some
+[x, z] = z, the factor is aff + a_{d-2}, and its Betti numbers are
+C(d-1, k).  When z is central, [e_a, e_b] = omega_ab z defines an
+alternating form of rank 2m, the factor is h_{2m+1} + a_{d-2m-1}, and
+its vector convolves the abelian binomials with Santharoubane's
+b_k = C(2m, k) - C(2m, k-2) for k <= m, mirrored above (Proc. AMS 87,
+1983).  The test reads the factor's integer bracket table once,
+cross-multiplying Gaussian integers, and takes one rank of omega; it
+works in any basis and builds no matrix of d.
+
+Each other factor goes through the weight-0 complex above on its own
+indices, mirrored when that factor is unimodular; for b_k a factor of
+dimension d is needed only in degrees k - (n - d) to min(k, d).
+``cohomology_representatives`` keeps the whole algebra: Kunneth
+representatives would be wedge products of the factors' forms, not the
+forms it returns.
 
 ``LieAlgebra._expand_d`` walks monomials through the algebra's table of
 D d(e_l*), D the lcm of the structure constants' denominators, and
@@ -460,24 +475,78 @@ def _reduced_betti(
     return [cochains.dim(k) - rank(k - 1) - rank(k) for k in degrees]
 
 
+def _times(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """The product of two Gaussian integers (re, im)."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _line_betti(algebra: LieAlgebra, block) -> list[int] | None:
+    """The whole Betti vector of the factor spanned by ``block`` when all
+    its brackets are multiples of one vector z, else None.
+
+    z is the first bracket read.  A bracket v is a multiple of z when it
+    has z's support and v_l z_f = v_f z_l at every index l of it, f
+    being z's first index; then [e_a, e_b] = omega_ab z with omega_ab
+    = v_f / z_f, kept as v_f since only the rank of omega and the
+    vanishing of its products with z are read.  [e_a, z] = sum_b
+    omega_ab z_b z, so z is central exactly when omega z = 0.
+    """
+    # brackets[pair][l]: the Gaussian integer -D c^l_ab, pair the mask of {a, b}
+    brackets: dict[int, dict[int, tuple[int, int]]] = {}
+    for l in block:
+        for pair, _, re, im in algebra._dual.get(l, ()):
+            brackets.setdefault(pair, {})[l] = (re, im)
+    z = next(iter(brackets.values()))
+    first = next(iter(z))
+    # omega[a][b] = omega_ab, both signs
+    omega: dict[int, dict[int, tuple[int, int]]] = {}
+    for pair, v in brackets.items():
+        w = v.get(first)
+        if v.keys() != z.keys() or any(
+            _times(x, z[first]) != _times(w, z[l]) for l, x in v.items()
+        ):
+            return None
+        a = (pair & -pair).bit_length() - 1
+        b = pair.bit_length() - 1
+        omega.setdefault(a, {})[b] = w
+        omega.setdefault(b, {})[a] = (-w[0], -w[1])
+    d = len(block)
+    for row in omega.values():
+        products = [_times(w, z[b]) for b, w in row.items() if b in z]
+        if sum(re for re, _ in products) or sum(im for _, im in products):
+            # some [e_a, z] != 0: aff + a_{d-2}
+            return [comb(d - 1, k) for k in range(d + 1)]
+    # h_{2m+1} + a_{d-2m-1}
+    m = linalg.rank_gaussian(omega.values()) // 2
+    low = [comb(2 * m, k) - (comb(2 * m, k - 2) if k >= 2 else 0) for k in range(m + 1)]
+    return _convolve(low + low[::-1], [comb(d - 2 * m - 1, j) for j in range(d - 2 * m)])
+
+
 def _split_betti(algebra: LieAlgebra, low: int, high: int) -> list[int]:
     """b_low..b_high of the algebra, convolved from its factors.
 
-    A factor of dimension d is reduced only in the degrees from
-    low - (n - d) to min(high, d): no other degree of it meets a term of
-    b_low..b_high.  Below them its vector is padded with zeros, which
-    leaves the sums below b_low wrong and unread.
+    A factor whose brackets are all multiples of one vector is in the
+    paper's class MD(n, 1), and ``_line_betti`` gives its whole vector
+    with no matrix: C(d-1, .) for aff + a, Santharoubane's Heisenberg
+    numbers convolved with binomials for h_{2m+1} + a.  Every other
+    factor goes through the weight-0 complex.  A factor of dimension d
+    is reduced only in the degrees from low - (n - d) to min(high, d):
+    no other degree of it meets a term of b_low..b_high.  Below them its
+    vector is padded with zeros, which leaves the sums below b_low wrong
+    and unread.
     """
     n = algebra.dim
     blocks, free = _blocks(algebra)
     weights, nonzero_trace = _weights(algebra)
     out = [comb(free, j) for j in range(min(high, free) + 1)]
     for block in blocks:
-        d = len(block)
-        first = max(0, low - (n - d))
-        degrees = range(first, min(high, d) + 1)
-        unimodular = nonzero_trace.isdisjoint(block)
-        part = [0] * first + _reduced_betti(algebra, block, weights, unimodular, degrees)
+        part = _line_betti(algebra, block)
+        if part is None:
+            d = len(block)
+            first = max(0, low - (n - d))
+            degrees = range(first, min(high, d) + 1)
+            unimodular = nonzero_trace.isdisjoint(block)
+            part = [0] * first + _reduced_betti(algebra, block, weights, unimodular, degrees)
         out = _convolve(out, part, high)
     return out[low : high + 1]
 

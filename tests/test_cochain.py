@@ -471,6 +471,12 @@ def _interleaved_sum(rng, summands):
     return _monomial_image(rng, g, perm)
 
 
+def _two_weights(u, v):
+    # [X, Y_1] = u Y_1, [X, Y_2] = v Y_2: a two-dimensional derived ideal,
+    # and not unimodular unless u + v = 0
+    return from_structure_constants(3, [(0, 1, (0, u, 0)), (0, 2, (0, 0, v))])
+
+
 def _reduction_cases(seed):
     rng = random.Random(seed)
     cases = [aff_r(), direct_sum(aff_r(), heisenberg(1)), direct_sum(aff_r(), heisenberg(2))]
@@ -483,6 +489,7 @@ def _reduction_cases(seed):
         _interleaved_sum(rng, [aff_r(), heisenberg(1), abelian(2)]),
         _interleaved_sum(rng, [aff_r(), diamond([lam])[0], abelian(1)]),
         _interleaved_sum(rng, [heisenberg(1), diamond([lam])[0], abelian(1)]),
+        _interleaved_sum(rng, [_two_weights(1, 2), _two_weights(lam, -lam), abelian(1)]),
     ]
     for n in (1, 2, 3):
         g, _ = diamond([random_scalar(rng, allow_zero=False, complex_rate=0.7) for _ in range(n)])
@@ -574,14 +581,58 @@ def test_reduction_follows_the_structure_it_finds(monkeypatch):
     # a dense basis leaves no diagonal ad: every column, still halved
     h = _dense_image(rng, diamond([Scalar(1), Scalar(0, 1)])[0])
     assert _assembled(monkeypatch, h) == [(k, comb(6, k)) for k in range(3)]
-    # two affine lines, with weights 1 on Y_1 and -i on Y_2: each factor
-    # alone, over its one weight-0 column X in degrees 0 and 1; not
-    # unimodular, so no degree is mirrored
-    h = direct_sum(aff_r(), from_structure_constants(2, [(0, 1, (ZERO, -ONE))]))
-    line = [(k, _weight_zero_count([(0,), (1,)], k)) for k in range(2)]
-    assert line == [(0, 1), (1, 1)]
+    # [X, Y_1] = Y_1, [X, Y_2] = 2 Y_2 and [X, Y_1] = -Y_1, [X, Y_2] = i Y_2
+    # have two-dimensional derived ideals: each factor alone, over its one
+    # weight-0 column X; not unimodular, so no degree is mirrored
+    h = direct_sum(_two_weights(1, 2), _two_weights(-1, Scalar(0, 1)))
+    line = [(k, _weight_zero_count([(0,), (1,), (2,)], k)) for k in range(3)]
+    assert line == [(0, 1), (1, 1), (2, 0)]
     assert _assembled(monkeypatch, h) == line + line
-    # the abelian summand of h_7 + a_5 takes no matrix; h_7 has no diagonal
-    # ad and is unimodular, so all its columns up to its middle degree
+    # each factor of h_7 + a_5 and of two affine lines has a one-dimensional
+    # derived ideal, and the abelian summand is binomials: no matrix at all
     h = direct_sum(heisenberg(3), abelian(5))
-    assert _assembled(monkeypatch, h) == [(k, comb(7, k)) for k in range(4)]
+    assert _assembled(monkeypatch, h) == []
+    h = direct_sum(aff_r(), from_structure_constants(2, [(0, 1, (ZERO, -ONE))]))
+    assert _assembled(monkeypatch, h) == []
+
+
+def _line_cases(rng):
+    # dense images of h_{2m+1} + a and aff + a up to dimension 7: every
+    # bracket is a multiple of one vector z, central or not
+    cases = []
+    for m in (1, 2, 3):
+        a = rng.randint(0, 6 - 2 * m)
+        cases.append(_dense_image(rng, direct_sum(heisenberg(m), abelian(a))))
+    for a in (0, rng.randint(1, 5)):
+        cases.append(_dense_image(rng, direct_sum(aff_r(), abelian(a))))
+    return cases
+
+
+def _near_miss_cases(rng):
+    # two-dimensional derived ideals that must go through the weight-0
+    # route: h_3 + aff in a dense basis, and [e0, e1] = e4 + e5 beside
+    # [e2, e3] = e4 + 2 e5, which agree at index 4, z's first, and differ
+    # at index 5; under a monomial change of basis they stay proportional
+    # at z's first index only
+    split = from_structure_constants(
+        6, [(0, 1, (0, 0, 0, 0, 1, 1)), (2, 3, (0, 0, 0, 0, 1, 2))]
+    )
+    return [_dense_image(rng, direct_sum(heisenberg(1), aff_r())), split,
+            _monomial_image(rng, split)]
+
+
+@pytest.mark.parametrize("seed", [94, 95])
+def test_line_factors_match_the_full_complex(seed, monkeypatch):
+    rng = random.Random(seed)
+    lines, near_misses = _line_cases(rng), _near_miss_cases(rng)
+    for g in lines + near_misses:
+        n = g.dim
+        full = BettiProfile.from_ranks(
+            n, [rank_exact(coboundary_matrix(g, k)) for k in range(n + 1)]
+        )
+        assert betti_profile(g) == full
+        assert [betti(g, k) for k in range(n + 1)] == list(full.b)
+    for g in lines:
+        assert _assembled(monkeypatch, g) == []
+    for g in near_misses:
+        assert _assembled(monkeypatch, g) != []
