@@ -8,9 +8,11 @@ full-complex route, so they pin that the reduced route prints the same
 bytes: on a scaled diamond (weights and duality), a dense image of a
 diamond (no diagonal ad, duality only), heisenberg-ext (duality only),
 aff-ext (weights only, not unimodular) and dense images of h_5 + a_1 and
-aff + a_3, whose derived ideal is one-dimensional.  ``betti`` asks for a
-degree above the middle, which a unimodular algebra answers from its
-mirror.
+aff + a_3, whose derived ideal is one-dimensional.  A graded x + h_5
+whose centre has a nonzero weight and a diamond with a zero parameter
+beside repeated and opposite ones were written by the weight-0 route and
+checked against the full complex.  ``betti`` asks for a degree above the
+middle, which a unimodular algebra answers from its mirror.
 Regenerate a file only for a deliberate change of output format.
 """
 
@@ -34,6 +36,16 @@ CASES = {
     "dense-aff": (["--input", "dense-aff.json"], 3),
     "heisenberg-ext-m2-n8": (["--family", "heisenberg-ext", "--m", "2", "--n", "8"], 5),
     "aff-ext-n5": (["--family", "aff-ext", "--n", "5"], 4),
+    # x + h_5 graded by [x, z] = 2z, [x, a_1] = a_1, [x, b_1] = b_1,
+    # [x, a_2] = 3 a_2, [x, b_2] = -b_2, under a monomial change of basis
+    # with Gaussian-rational scalings: the centre has a nonzero weight
+    "graded-heis": (["--input", "graded-heis.json"], 4),
+    # a zero parameter beside repeated and opposite ones
+    "diamond-zero": (
+        ["--family", "diamond", "--lambda", "1", "--lambda", "1", "--lambda", "-1",
+         "--lambda", "0", "--lambda", "1/2+i"],
+        7,
+    ),
 }
 
 
