@@ -8,8 +8,8 @@ Subcommands:
 * ``export-matrix`` one coboundary matrix in coordinate-list text form
 * ``diamond-b2``    the degree-2 count for diamond parameters
 * ``verify``        sweep the closed formulas against the exact engine:
-                    the Heisenberg and affine families against every
-                    coboundary matrix of the whole complex
+                    the Heisenberg, affine and diamond families against
+                    every coboundary matrix of the whole complex
 
 Algebras come either from a built-in family (``--family`` plus its
 parameters) or from a JSON file (``--input``); exactly one of the two.
@@ -371,8 +371,8 @@ def _verify_profile_doc(path: str) -> tuple[str, int]:
 
 def _full_complex_profile(algebra: lie_algebra.LieAlgebra) -> cochain.BettiProfile:
     # every degree of the whole complex eliminated: betti_profile takes
-    # these families from closed forms, which would check them against
-    # themselves
+    # these families, diamonds included, from closed forms or weight
+    # counts, which would check formulas against formulas
     n = algebra.dim
     return cochain.BettiProfile.from_ranks(
         n, [cochain.rank_exact(cochain.coboundary_matrix(algebra, k)) for k in range(n + 1)]
@@ -439,7 +439,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     rng = random.Random(seed)
     for _ in range(25):
         lam = _random_lambda(rng)
-        engine = cochain.betti(lie_algebra.diamond_algebra(lam), 2)
+        engine = _full_complex_profile(lie_algebra.diamond_algebra(lam)).b[2]
         expected = closed_forms.diamond_b2(closed_forms.lambda_classes(lam))
         checks += 1
         if engine != expected:

@@ -57,6 +57,32 @@ b_k = C(2m, k) - C(2m, k-2) for k <= m, mirrored above (Proc. AMS 87,
 cross-multiplying Gaussian integers, and takes one rank of omega; it
 works in any basis and builds no matrix of d.
 
+A factor whose indices with diagonal ad(e_p), P, span t and whose other
+indices span an ideal n (no bracket has a term on P) is t + n, with t
+abelian and acting diagonally.  Then H*(g) = Lambda(t*) (x) H*(n)^t
+(Hochschild-Serre): d vanishes on t*, and on the weight-0 cochains it
+is d of n.  So b = C(|P|, .) convolved with c, c_k = dim H^k(n)^t, the
+weight-0 part of H^k(n).  Let N_j(nu) count the j-subsets of V whose
+weights sum to nu.  When n is abelian, V is its weights and
+c_k = N_k(0).  When every bracket of n is omega_ab z with z central and
+omega of rank |n| - 1, n is h_{2m+1}, V is n's weights less one copy of
+z's weight mu_z, and Santharoubane's description is equivariant: H^k(n)
+is the cokernel of omega ^ : Lambda^{k-2} V* -> Lambda^k V* for k <= m
+and the kernel of omega ^ : Lambda^{k-1} V* -> Lambda^{k+1} V*, wedged
+with z*, above.
+omega ^ shifts weights by mu_z and is injective up to the middle and
+onto above it, so
+
+    c_k = N_k(0) - N_{k-2}(-mu_z)       for k <= m
+    c_k = N_{k-1}(-mu_z) - N_{k+1}(0)   for k > m.
+
+The counts come from tables of the two halves of V by size and packed
+weight, met at the two targets: no subset is formed and no matrix
+built.  A diamond algebra is Y_0 + h_{2r+1}, z = X_0 of weight 0 and V
+the weights +-lam_i; at k = 2, c_1 = 0 and b_2 = N_2(0) - 1, which is
+sum n_j^2 - 1 over the classes of parameters equal up to sign, the
+paper's count.
+
 Each other factor goes through the weight-0 complex above on its own
 indices, mirrored when that factor is unimodular; for b_k a factor of
 dimension d is needed only in degrees k - (n - d) to min(k, d).
@@ -82,6 +108,7 @@ reference route the tests check every matrix column against.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -215,9 +242,10 @@ def _monomials(indices, k: int):
     return zip(combinations(indices, k), map(sum, combinations(bits, k)))
 
 
-def _weights(algebra: LieAlgebra) -> tuple[dict[int, int], set[int]]:
-    """The nonzero joint weights of the basis indices, and the indices p
-    with tr ad(e_p) nonzero; the algebra is unimodular when there are none.
+def _weights(algebra: LieAlgebra) -> tuple[dict[int, int], set[int], set[int]]:
+    """The nonzero joint weights of the basis indices, the indices p with
+    tr ad(e_p) nonzero (the algebra is unimodular when there are none),
+    and the indices p with ad(e_p) diagonal and nonzero.
 
     ad(e_p) is diagonal when every bracket [e_p, e_q] is w_p(q) e_q; the
     joint weight of e_q lists D w_p(q) over those p that have a nonzero
@@ -259,7 +287,7 @@ def _weights(algebra: LieAlgebra) -> tuple[dict[int, int], set[int]]:
             weights[q] *= base * base
         for q, (re, im) in along[p].items():
             weights[q] = weights.get(q, 0) + re * base + im
-    return weights, nonzero_trace
+    return weights, nonzero_trace, set(diagonal)
 
 
 class _WeightZero:
@@ -480,9 +508,9 @@ def _times(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
-def _line_betti(algebra: LieAlgebra, block) -> list[int] | None:
-    """The whole Betti vector of the factor spanned by ``block`` when all
-    its brackets are multiples of one vector z, else None.
+def _bracket_form(brackets: dict[int, dict[int, tuple[int, int]]]):
+    """(z, omega, central) when the ``brackets`` {pair: {l: (re, im)}} are
+    all multiples of one vector z, else None.
 
     z is the first bracket read.  A bracket v is a multiple of z when it
     has z's support and v_l z_f = v_f z_l at every index l of it, f
@@ -491,11 +519,6 @@ def _line_betti(algebra: LieAlgebra, block) -> list[int] | None:
     vanishing of its products with z are read.  [e_a, z] = sum_b
     omega_ab z_b z, so z is central exactly when omega z = 0.
     """
-    # brackets[pair][l]: the Gaussian integer -D c^l_ab, pair the mask of {a, b}
-    brackets: dict[int, dict[int, tuple[int, int]]] = {}
-    for l in block:
-        for pair, _, re, im in algebra._dual.get(l, ()):
-            brackets.setdefault(pair, {})[l] = (re, im)
     z = next(iter(brackets.values()))
     first = next(iter(z))
     # omega[a][b] = omega_ab, both signs
@@ -510,16 +533,101 @@ def _line_betti(algebra: LieAlgebra, block) -> list[int] | None:
         b = pair.bit_length() - 1
         omega.setdefault(a, {})[b] = w
         omega.setdefault(b, {})[a] = (-w[0], -w[1])
-    d = len(block)
     for row in omega.values():
         products = [_times(w, z[b]) for b, w in row.items() if b in z]
         if sum(re for re, _ in products) or sum(im for _, im in products):
-            # some [e_a, z] != 0: aff + a_{d-2}
-            return [comb(d - 1, k) for k in range(d + 1)]
+            return z, omega, False
+    return z, omega, True
+
+
+def _line_betti(brackets, d: int) -> list[int] | None:
+    """The whole Betti vector of a factor of dimension d with these
+    ``brackets`` when they are all multiples of one vector z, else None."""
+    form = _bracket_form(brackets)
+    if form is None:
+        return None
+    _, omega, central = form
+    if not central:
+        # some [e_a, z] != 0: aff + a_{d-2}
+        return [comb(d - 1, k) for k in range(d + 1)]
     # h_{2m+1} + a_{d-2m-1}
     m = linalg.rank_gaussian(omega.values()) // 2
     low = [comb(2 * m, k) - (comb(2 * m, k - 2) if k >= 2 else 0) for k in range(m + 1)]
     return _convolve(low + low[::-1], [comb(d - 2 * m - 1, j) for j in range(d - 2 * m)])
+
+
+def _subset_counts(values, top: int) -> dict[tuple[int, int], int]:
+    """The number of sub-multisets of ``values`` of each size up to
+    ``top`` and each sum, keyed by (size, sum), built one distinct value
+    at a time."""
+    counts = {(0, 0): 1}
+    for mu, r in Counter(values).items():
+        ways = [(s, s * mu, comb(r, s)) for s in range(1, min(r, top) + 1)]
+        for (j, w), c in list(counts.items()):
+            for s, shift, e in ways[: top - j]:
+                key = (j + s, w + shift)
+                counts[key] = counts.get(key, 0) + e * c
+    return counts
+
+
+def _torus_betti(brackets, block, weights: dict[int, int], diagonal: set[int], top: int):
+    """b_0..b_top of the factor spanned by ``block`` when it is t + n
+    with t spanned by its diagonal indices and n an abelian or
+    Heisenberg ideal, else None.
+
+    With V the weights of n, one copy of z's weight mu_z taken out when
+    n is h_{2m+1}, a table of the subsets of V by size and packed weight
+    gives N_j(nu), the number of j-subsets of weight nu; c_k is N_k(0)
+    for abelian n and Santharoubane's primitive count otherwise, and the
+    vector is C(|t|, .) convolved with c.  c_k reads N_j for j <= k + 1
+    only, so no subset of more than top + 1 weights is counted.
+    """
+    torus = diagonal.intersection(block)
+    if not torus:
+        return None
+    mask = sum(1 << p for p in torus)
+    inner = {}
+    for pair, v in brackets.items():
+        if not torus.isdisjoint(v):
+            # a bracket with a term on t: n is not an ideal
+            return None
+        if not pair & mask:
+            inner[pair] = v
+    ideal = [q for q in block if q not in torus]
+    values = [weights.get(q, 0) for q in ideal]
+    if inner:
+        form = _bracket_form(inner)
+        if form is None or not form[2]:
+            return None
+        z, omega, _ = form
+        # n is h_{2m+1} when omega is nondegenerate on n / z
+        if linalg.rank_gaussian(omega.values()) != len(ideal) - 1:
+            return None
+        m = len(ideal) // 2
+        mu_z = weights.get(next(iter(z)), 0)
+        values.remove(mu_z)
+    # count(nu)[j] = N_j(nu), met through tables of the two halves of V
+    size = len(values)
+    lower = _subset_counts(values[: size // 2], top + 1)
+    upper: dict[int, list[tuple[int, int]]] = {}
+    for (j, w), c in _subset_counts(values[size // 2 :], top + 1).items():
+        upper.setdefault(w, []).append((j, c))
+
+    def count(nu: int) -> list[int]:
+        out = [0] * (top + 2)
+        for (i, w), c in lower.items():
+            for j, e in upper.get(nu - w, ()):
+                if i + j <= top + 1:
+                    out[i + j] += c * e
+        return out
+
+    c = count(0)
+    if inner:
+        # N_k(0) - N_{k-2}(-mu_z) is c_k up to the middle and -c_{k-1} above it
+        above = [0, 0] + count(-mu_z)
+        primitive = [x - y for x, y in zip(c, above)]
+        c = [primitive[k] if k <= m else -primitive[k + 1] for k in range(min(size + 2, top + 1))]
+    return _convolve([comb(len(torus), j) for j in range(len(torus) + 1)], c[: top + 1], top)
 
 
 def _split_betti(algebra: LieAlgebra, low: int, high: int) -> list[int]:
@@ -528,7 +636,14 @@ def _split_betti(algebra: LieAlgebra, low: int, high: int) -> list[int]:
     A factor whose brackets are all multiples of one vector is in the
     paper's class MD(n, 1), and ``_line_betti`` gives its whole vector
     with no matrix: C(d-1, .) for aff + a, Santharoubane's Heisenberg
-    numbers convolved with binomials for h_{2m+1} + a.  Every other
+    numbers convolved with binomials for h_{2m+1} + a.  A factor t + n,
+    t spanned by its diagonal indices and n an abelian or Heisenberg
+    ideal, has H*(g) = Lambda(t*) (x) H*(n)^t, and ``_torus_betti`` gives its
+    whole vector C(|t|, .) * c from weight counts: c_k = N_k(0) for
+    abelian n, and for n = h_{2m+1} c_k = N_k(0) - N_{k-2}(-mu_z) up to
+    k = m and N_{k-1}(-mu_z) - N_{k+1}(0) above, N_j(nu) the number of
+    j-subsets of weight nu of n's weights less one mu_z.  The paper's
+    b_2 = sum n_j^2 - 1 of a diamond is its k = 2 case.  Every other
     factor goes through the weight-0 complex.  A factor of dimension d
     is reduced only in the degrees from low - (n - d) to min(high, d):
     no other degree of it meets a term of b_low..b_high.  Below them its
@@ -537,10 +652,17 @@ def _split_betti(algebra: LieAlgebra, low: int, high: int) -> list[int]:
     """
     n = algebra.dim
     blocks, free = _blocks(algebra)
-    weights, nonzero_trace = _weights(algebra)
+    weights, nonzero_trace, diagonal = _weights(algebra)
     out = [comb(free, j) for j in range(min(high, free) + 1)]
     for block in blocks:
-        part = _line_betti(algebra, block)
+        # brackets[pair][l]: the Gaussian integer -D c^l_ab, pair the mask of {a, b}
+        brackets: dict[int, dict[int, tuple[int, int]]] = {}
+        for l in block:
+            for pair, _, re, im in algebra._dual.get(l, ()):
+                brackets.setdefault(pair, {})[l] = (re, im)
+        part = _line_betti(brackets, len(block))
+        if part is None:
+            part = _torus_betti(brackets, block, weights, diagonal, high)
         if part is None:
             d = len(block)
             first = max(0, low - (n - d))
@@ -553,7 +675,8 @@ def _split_betti(algebra: LieAlgebra, low: int, high: int) -> list[int]:
 
 def betti(algebra: LieAlgebra, k: int) -> int:
     """The k-th Betti number, convolved from the factors' Betti numbers
-    next to degree k, each from the ranks of d on its weight-0 cochains."""
+    next to degree k, each from closed forms, weight counts or the ranks
+    of d on its weight-0 cochains."""
     n = algebra.dim
     if not (0 <= k <= n):
         raise DegreeOutOfRange(f"degree {k} outside 0..{n}")

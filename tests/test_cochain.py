@@ -477,6 +477,18 @@ def _two_weights(u, v):
     return from_structure_constants(3, [(0, 1, (0, u, 0)), (0, 2, (0, 0, v))])
 
 
+def _graded_filiform(u, v):
+    # x + m0(4), with [e_0, e_1] = e_2, [e_0, e_2] = e_3 on indices 1..4 and
+    # ad(x) diagonal with weights u, v, u + v, 2u + v on e_0..e_3: the
+    # brackets of m0(4) are not multiples of one vector, so no route
+    # takes it; unimodular when 4u + 3v = 0
+    return from_structure_constants(5, [
+        (0, 1, (0, u, 0, 0, 0)), (0, 2, (0, 0, v, 0, 0)),
+        (0, 3, (0, 0, 0, u + v, 0)), (0, 4, (0, 0, 0, 0, 2 * u + v)),
+        (1, 2, (0, 0, 0, 1, 0)), (1, 3, (0, 0, 0, 0, 1)),
+    ])
+
+
 def _reduction_cases(seed):
     rng = random.Random(seed)
     cases = [aff_r(), direct_sum(aff_r(), heisenberg(1)), direct_sum(aff_r(), heisenberg(2))]
@@ -484,13 +496,17 @@ def _reduction_cases(seed):
         cases += [make(rng) for _ in range(4)]
     lam = random_scalar(rng, allow_zero=False, complex_rate=0.7)
     # the weight-0 cochains of one factor must not pick up the charged
-    # indices of another, here X_1 and Y_1 of the diamond
+    # indices of another, here X_1 and Y_1 of the diamond and Y_1, Y_2
+    # beside the graded filiform
     cases += [
         _interleaved_sum(rng, [aff_r(), heisenberg(1), abelian(2)]),
         _interleaved_sum(rng, [aff_r(), diamond([lam])[0], abelian(1)]),
         _interleaved_sum(rng, [heisenberg(1), diamond([lam])[0], abelian(1)]),
-        _interleaved_sum(rng, [_two_weights(1, 2), _two_weights(lam, -lam), abelian(1)]),
+        _interleaved_sum(rng, [_graded_filiform(1, -1), _two_weights(lam, -lam)]),
     ]
+    # weights and no route: not unimodular, then unimodular
+    for u, v in ((1, 1), (3, -4)):
+        cases += [_graded_filiform(u, v), _monomial_image(rng, _graded_filiform(u, v))]
     for n in (1, 2, 3):
         g, _ = diamond([random_scalar(rng, allow_zero=False, complex_rate=0.7) for _ in range(n)])
         cases.append(_monomial_image(rng, g))
@@ -568,26 +584,34 @@ def _weight_zero_count(weights, k):
 
 def test_reduction_follows_the_structure_it_finds(monkeypatch):
     rng = random.Random(93)
-    lam = [Scalar(1), Scalar(2, 1), Scalar(1, -1)]
-    g, _ = diamond(lam)
-    # ad(Y_0) is diagonal with weights lam_i on X_i and -lam_i on Y_i, also
-    # after a monomial change of basis: only the weight-0 columns, and
-    # only up to the middle degree
-    weights = [(0,)] + [(v,) for v in lam] + [(0,)] + [(-v,) for v in lam]
-    expected = [(k, _weight_zero_count(weights, k)) for k in range(4)]
-    assert sum(cols for _, cols in expected) < sum(comb(8, k) for k in range(4))
-    assert _assembled(monkeypatch, g) == expected
-    assert _assembled(monkeypatch, _monomial_image(rng, g)) == expected
+    # x + m0(4) graded with weights 1, 1, 2, 3, then 1, -1, 0, 1 on e_0..e_3:
+    # ad(x) is diagonal, also after a monomial change of basis, so only
+    # the weight-0 columns; tr ad(x) != 0, so in every degree.  Graded
+    # with 3, -4, -1, 2 it is unimodular: only up to the middle degree
+    lines = []
+    for u, v, top in ((1, 1, 5), (1, -1, 5), (3, -4, 3)):
+        weights = [(0,)] + [(w,) for w in (u, v, u + v, 2 * u + v)]
+        line = [(k, _weight_zero_count(weights, k)) for k in range(top)]
+        assert _assembled(monkeypatch, _graded_filiform(u, v)) == line
+        assert _assembled(monkeypatch, _monomial_image(rng, _graded_filiform(u, v))) == line
+        lines += line
+    assert lines[:5] == [(0, 1), (1, 1), (2, 0), (3, 0), (4, 0)]
+    assert sum(cols for _, cols in lines[5:10]) < sum(comb(5, k) for k in range(5))
+    # each factor of a direct sum alone, over its own weight-0 columns
+    h = direct_sum(_graded_filiform(1, 1), _graded_filiform(1, -1))
+    h = direct_sum(h, _graded_filiform(3, -4))
+    assert _assembled(monkeypatch, h) == lines
     # a dense basis leaves no diagonal ad: every column, still halved
     h = _dense_image(rng, diamond([Scalar(1), Scalar(0, 1)])[0])
     assert _assembled(monkeypatch, h) == [(k, comb(6, k)) for k in range(3)]
-    # [X, Y_1] = Y_1, [X, Y_2] = 2 Y_2 and [X, Y_1] = -Y_1, [X, Y_2] = i Y_2
-    # have two-dimensional derived ideals: each factor alone, over its one
-    # weight-0 column X; not unimodular, so no degree is mirrored
+    # a diamond is Y_0 + h_7 and [X, Y_1] = Y_1, [X, Y_2] = 2 Y_2 is x + a_2:
+    # t + n with n Heisenberg or abelian, counted by weight with no matrix,
+    # in any monomial basis
+    g, _ = diamond([Scalar(1), Scalar(2, 1), Scalar(1, -1)])
+    assert _assembled(monkeypatch, g) == []
+    assert _assembled(monkeypatch, _monomial_image(rng, g)) == []
     h = direct_sum(_two_weights(1, 2), _two_weights(-1, Scalar(0, 1)))
-    line = [(k, _weight_zero_count([(0,), (1,), (2,)], k)) for k in range(3)]
-    assert line == [(0, 1), (1, 1), (2, 0)]
-    assert _assembled(monkeypatch, h) == line + line
+    assert _assembled(monkeypatch, h) == []
     # each factor of h_7 + a_5 and of two affine lines has a one-dimensional
     # derived ideal, and the abelian summand is binomials: no matrix at all
     h = direct_sum(heisenberg(3), abelian(5))
@@ -636,3 +660,96 @@ def test_line_factors_match_the_full_complex(seed, monkeypatch):
         assert _assembled(monkeypatch, g) == []
     for g in near_misses:
         assert _assembled(monkeypatch, g) != []
+
+
+def _graded_heisenberg(x_weights):
+    # t + h_{2m+1}: indices 0..r-1 span t, then z, a_1..a_m, b_1..b_m with
+    # [a_i, b_i] = z; x_weights[p] lists the weights of x_p on a_1..a_m,
+    # then b_1..b_m, each pair summing to that of z
+    r, m = len(x_weights), len(x_weights[0]) // 2
+    dim = r + 2 * m + 1
+    z = r
+
+    def unit(q, c=1):
+        return tuple(c if i == q else 0 for i in range(dim))
+
+    brackets = [(z + 1 + i, z + 1 + m + i, unit(z)) for i in range(m)]
+    for p, ws in enumerate(x_weights):
+        brackets.append((p, z, unit(z, ws[0] + ws[m])))
+        brackets += [(p, z + 1 + i, unit(z + 1 + i, w)) for i, w in enumerate(ws) if w]
+    return from_structure_constants(dim, brackets)
+
+
+def _torus_cases(rng):
+    # t + n, n abelian or Heisenberg and t diagonal: the torus route
+    a = random_scalar(rng, allow_zero=False, complex_rate=0.0)
+    b, c = (random_scalar(rng, allow_zero=False, complex_rate=1.0) for _ in range(2))
+    u, v = rng.randint(-3, 3), rng.randint(-3, 3)
+    gauss = random_scalar(rng, allow_zero=False, complex_rate=1.0)
+    own = [
+        # repeated, opposite and zero parameters, then Gaussian ones; the
+        # second has c_4 != 0 at its middle degree m = 4
+        diamond([a, a, -a, ZERO])[0],
+        diamond([b, -b, c, c])[0],
+        # x + a_3
+        from_structure_constants(4, [(0, 1, (0, b, 0, 0)), (0, 2, (0, 0, -b, 0)),
+                                     (0, 3, (0, 0, 0, a))]),
+        # x + h_5 with [x, z] = 2z, so z has a nonzero weight
+        _graded_heisenberg([[u, 1, 2 - u, 1]]),
+        # a two-dimensional t on h_5
+        _graded_heisenberg([[u, v, 2 - u, 2 - v], [gauss, 1, -gauss, -1]]),
+    ]
+    return own + [_monomial_image(rng, g) for g in own]
+
+
+def _torus_near_misses(rng):
+    # sl_2 + aff with [e, f] = h and x scaling e, f and w by 1, -1 and 1:
+    # [e, f] lands on the diagonal index h, so n is no ideal, although
+    # omega is nondegenerate on e, f; t + (h_3 + a_1) has a degenerate
+    # omega; a dense image of a diamond has no diagonal ad
+    sl2 = from_structure_constants(5, [
+        (0, 2, (0, 0, 2, 0, 0)), (0, 3, (0, 0, 0, -2, 0)), (2, 3, (1, 0, 0, 0, 0)),
+        (1, 2, (0, 0, 1, 0, 0)), (1, 3, (0, 0, 0, -1, 0)), (1, 4, (0, 0, 0, 0, 1)),
+    ])
+    degenerate = from_structure_constants(5, [
+        (0, 1, (0, 1, 0, 0, 0)), (0, 2, (0, 0, 2, 0, 0)), (0, 3, (0, 0, 0, -1, 0)),
+        (0, 4, (0, 0, 0, 0, -1)), (2, 3, (0, 1, 0, 0, 0)),
+    ])
+    lam = random_scalar(rng, allow_zero=False, complex_rate=0.7)
+    return [sl2, _monomial_image(rng, sl2), degenerate, _monomial_image(rng, degenerate),
+            _dense_image(rng, diamond([lam, -lam])[0])]
+
+
+@pytest.mark.parametrize("seed", [96, 97, 98])
+def test_torus_factors_match_the_full_complex(seed, monkeypatch):
+    rng = random.Random(seed)
+    routed, near_misses = _torus_cases(rng), _torus_near_misses(rng)
+    for g in routed + near_misses:
+        n = g.dim
+        full = BettiProfile.from_ranks(
+            n, [rank_exact(coboundary_matrix(g, k)) for k in range(n + 1)]
+        )
+        assert betti_profile(g) == full
+        assert [betti(g, k) for k in range(n + 1)] == list(full.b)
+    for g in routed:
+        assert _assembled(monkeypatch, g) == []
+    for g in near_misses:
+        assert _assembled(monkeypatch, g) != []
+
+
+def test_torus_route_counts_no_larger_subsets_than_the_degree_needs(monkeypatch):
+    # twenty parameters in twenty classes up to sign: b_2 = 20 - 1, the
+    # paper's count, read from subsets of at most three weights, where a
+    # table of all subsets of a half would hold 2^20 entries
+    g, _ = diamond([Scalar(v, v * v + 7) for v in range(1, 21)])
+    largest = []
+    original = cochain._subset_counts
+
+    def spy(values, top):
+        table = original(values, top)
+        largest.append(max(j for j, _ in table))
+        return table
+
+    monkeypatch.setattr(cochain, "_subset_counts", spy)
+    assert [betti(g, k) for k in range(3)] == [1, 1, 19]
+    assert largest and max(largest) <= 3

@@ -18,10 +18,13 @@ import liecoh
 import liecoh.cli
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+# every built-in family takes a route with no matrix; a dense image of
+# diamond(1, i) has no diagonal ad and is eliminated
+DENSE = Path(__file__).resolve().parent / "golden" / "dense-diamond.json"
 
 JOBS = {
     "cocycles": ["cocycles", "--family", "heisenberg", "--m", "2", "--degree", "2"],
-    "profile": ["profile", "--family", "diamond", "--lambda", "1", "--lambda", "i"],
+    "profile": ["profile", "--input", str(DENSE)],
 }
 
 
