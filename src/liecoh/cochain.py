@@ -78,10 +78,10 @@ onto above it, so
 
 The counts come from tables of the two halves of V by size and packed
 weight, met at the two targets: no subset is formed and no matrix
-built.  A diamond algebra is Y_0 + h_{2r+1}, z = X_0 of weight 0 and V
-the weights +-lam_i; at k = 2, c_1 = 0 and b_2 = N_2(0) - 1, which is
-sum n_j^2 - 1 over the classes of parameters equal up to sign, the
-paper's count.
+built.  A diamond algebra with r nonzero parameters is Y_0 + h_{2r+1}
+beside an abelian factor, with z = X_0 of weight 0 and V the weights
++-lam_i; at k = 2, c_1 = 0 and b_2 = N_2(0) - 1, which is sum n_j^2 - 1
+over the classes of parameters equal up to sign, the paper's count.
 
 Each other factor goes through the weight-0 complex above on its own
 indices, mirrored when that factor is unimodular; for b_k a factor of
