@@ -24,6 +24,15 @@ CASES = {
     # Gaussian-rational scalings; the path is relative so the table
     # title does not depend on where the repository lives
     "scaled-diamond-k3": ["--input", "scaled-diamond.json", "--degree", "3"],
+    # h_9 under a monomial change of basis with Gaussian-rational
+    # scalings: no diagonal ad, the whole complex, 42 classes at its
+    # middle degree
+    "monomial-h9-k4": ["--input", "monomial-h9.json", "--degree", "4"],
+    # x + m0(4) with ad(x) diagonal of weights 2, -1, 1, 3 on e_0..e_3:
+    # the weight-0 cochains alone
+    "graded-filiform-k2": ["--input", "graded-filiform.json", "--degree", "2"],
+    # h_5 + a_1 under a dense Gaussian-integer change of basis
+    "dense-heis-k2": ["--input", "dense-heis.json", "--degree", "2"],
 }
 
 
