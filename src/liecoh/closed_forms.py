@@ -13,9 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cochain import BettiProfile, _convolve, betti
+from .cochain import BettiProfile, _convolve
 from .errors import DegreeOutOfRange, DimensionMismatch, ZeroLambda
-from .lie_algebra import diamond_algebra
 from .scalars import Scalar
 
 __all__ = [
@@ -194,9 +193,15 @@ def diamond_b2(spec: LambdaSpec) -> int:
 def diamond_b2_general(entries) -> int:
     """b_2 of the diamond algebra with zeros allowed among the parameters.
 
-    A zero lam_i leaves X_i and Y_i in no bracket, so they split off an
-    abelian summand, and so do X_0 and Y_0 when every lam_i is zero.
-    The engine's direct-sum split takes b_0..b_2 of the diamond on the
-    nonzero entries and convolves them with the abelian binomials.
+    A zero lam_i leaves X_i and Y_i in no bracket, so z zero parameters
+    split off an abelian summand of dimension 2z.  Beside the diamond on
+    the nonzero parameters, whose b_0 = b_1 = 1, Kunneth gives
+    b_2 + 2z + C(2z, 2); with no nonzero parameter X_0 and Y_0 are in no
+    bracket either, and the algebra is abelian of dimension 2z + 2.
     """
-    return betti(diamond_algebra(entries), 2)
+    values = [Scalar.coerce(v) for v in entries]
+    nonzero = [v for v in values if v]
+    z = len(values) - len(nonzero)
+    if not nonzero:
+        return binom(2 * z + 2, 2)
+    return diamond_b2(lambda_classes(nonzero)) + 2 * z + binom(2 * z, 2)

@@ -31,10 +31,20 @@ with the out-of-range ranks defined to be zero.  When tr ad(e_p) = 0
 for every p the algebra is unimodular: d_k and d_{n-1-k} are adjoint
 under the wedge pairing into the top degree, so r_k = r_{n-1-k} and
 b_k = b_{n-k} (Koszul, Bull. SMF 78, 1950), and ranks are eliminated
-only up to the middle degree.  A representative of weight 0 grows the
-span of the exact forms exactly when it does in the full complex, and
-the reduced echelon form of a block-diagonal matrix is the union of the
-blocks' forms, so the representatives are the same forms.
+only up to the middle degree.  The reduced echelon form of a
+block-diagonal matrix is the union of the blocks' forms, so the cocycle
+basis vectors v_f of weight 0, one per free column f, are those of the
+full d_k, and the others lie in acyclic blocks.  A representative is a
+v_f that grows the span of the exact forms and the v_g with g < f.  A
+cocycle z is sum z_f v_f, and v_f has entries only at f and at pivot
+columns left of f, so the largest column of z is the largest f with
+z_f != 0: v_f grows that span exactly when f is the largest column of
+no exact form.  Those largest columns lead the span of the exact forms
+grown with the columns negated.  They are free, and the reduced echelon
+form of d_k on columns that keep every pivot is the full one cut down
+to them, so the representatives are the same forms: the cocycle basis
+of d_k assembled without those columns, with no v_f built to be
+dropped.
 
 ``betti`` and ``betti_profile`` first split the algebra into direct-sum
 factors.  Indices i, j and l are joined whenever c^l_ij != 0; each
@@ -494,7 +504,8 @@ def _reduced_betti(
     def rank(k: int) -> int:
         if unimodular:
             k = min(k, n - 1 - k)
-        if not 0 <= k < n:
+        # a degree with no weight-0 cochain has rank 0 and no matrix
+        if not 0 <= k < n or not cochains.dim(k):
             return 0
         if k not in ranks:
             ranks[k] = rank_exact(coboundary_matrix(algebra, k, cochains.monomials(k)))
@@ -730,28 +741,29 @@ def coboundary_basis(algebra: LieAlgebra, k: int) -> list[ExteriorForm]:
 def cohomology_representatives(algebra: LieAlgebra, k: int) -> list[ExteriorForm]:
     """Closed forms whose classes form a basis of degree-k cohomology.
 
-    Extends the span of the exact forms of weight 0 (the images of the
-    degree k-1 monomials of weight 0) by the cocycle basis vectors of
-    weight 0 that grow it; the added vectors represent independent
-    classes and there are exactly b_k of them.
+    The cocycle basis of d_k on the weight-0 cochains, assembled without
+    the largest columns of the exact forms of weight 0 (the images of
+    the degree k-1 monomials of weight 0), which lead their span grown
+    with the columns negated: as the module docstring shows, these are
+    the cocycle basis vectors that grow the span of the exact forms.
     """
     n = algebra.dim
     if not (0 <= k <= n):
         raise DegreeOutOfRange(f"degree {k} outside 0..{n}")
     cochains = _WeightZero(range(n), _weights(algebra)[0], k)
-    span = linalg.SpanBuilder()
-    if k > 0:
-        for image in algebra._expand_d(cochains.monomials(k - 1)):
-            span.add(image)
     monomials = list(cochains.monomials(k))
-    matrix = coboundary_matrix(algebra, k, monomials)
-    keys = [key for key, _ in monomials]
+    negated = {mask: -c for c, (_, mask) in enumerate(monomials)}
+    exact = linalg.SpanBuilder()
+    for image in algebra._expand_d(cochains.monomials(k - 1)) if k else ():
+        if image:
+            exact.add({negated[mask]: value for mask, value in image.items()})
+    leading = exact.leading_columns
+    kept = [m for c, m in enumerate(monomials) if -c not in leading]
+    matrix = coboundary_matrix(algebra, k, kept)
+    keys = [key for key, _ in kept]
     return [
         _form_from_vector(n, k, keys, vec)
         for vec in linalg.kernel_basis(list(matrix.int_rows.values()), matrix.cols)
-        if span.add({
-            monomials[c][1]: v for c, v in linalg.gaussian_row(vec, matrix.cols).items()
-        })
     ]
 
 

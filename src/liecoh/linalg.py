@@ -17,7 +17,8 @@ that the pivot column cancels, and the Gaussian-integer gcd of its
 entries is divided out again.  Everything else is built from it:
 
 * ``rank_gaussian`` and ``SpanBuilder`` keep a row when something
-  survives the reduction, under a pivot key that is its leading column;
+  survives the reduction, under a pivot key that is its leading column,
+  and ``SpanBuilder.leading_columns`` hands those keys out;
 * ``rref`` reduces every pivot row once more against the pivot rows to
   its right, which gives the unique reduced row echelon form;
 * ``kernel_basis`` and ``inverse`` read their vectors off ``rref``.
@@ -112,11 +113,13 @@ def _strip_content(row: dict[int, tuple[int, int]]) -> dict[int, tuple[int, int]
 
 
 def _scalar_row(row: dict[int, tuple[int, int]], pivot: int) -> dict[int, Scalar]:
-    """Divide a Gaussian-integer row by its entry in the pivot column."""
+    """Divide a Gaussian-integer row by its entry in the pivot column,
+    which becomes the shared ``ONE``."""
     pa, pb = row[pivot]
     norm = pa * pa + pb * pb
     return {
-        c: Scalar(Fraction(a * pa + b * pb, norm), Fraction(b * pa - a * pb, norm))
+        c: ONE if c == pivot
+        else Scalar(Fraction(a * pa + b * pb, norm), Fraction(b * pa - a * pb, norm))
         for c, (a, b) in row.items()
     }
 
@@ -246,6 +249,12 @@ class SpanBuilder:
     @property
     def rank(self) -> int:
         return len(self._pivots)
+
+    @property
+    def leading_columns(self) -> frozenset[int]:
+        """The leading columns of the nonzero vectors of the span: the
+        pivot keys of the kept rows, one per dimension."""
+        return frozenset(self._pivots)
 
     def add(self, row) -> bool:
         """Add a row; True if it enlarged the span."""

@@ -20,6 +20,9 @@ __all__ = ["Scalar", "parse_scalar", "ZERO", "ONE", "MINUS_ONE", "I"]
 
 
 def _as_fraction(value) -> Fraction:
+    # a Fraction is immutable, so it is kept rather than copied
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("floating point input would not be exact; pass int, Fraction or str")
     return Fraction(value)

@@ -155,15 +155,22 @@ def test_diamond_b2_zero_parameter_on_a_large_diamond(capsys):
     assert out.splitlines()[0] == f"b2 = {reduced + 3}"
 
 
-def test_diamond_b2_zero_parameter_refuses_oversize_input(capsys):
-    # the diamond on 91 nonzero parameters has dimension 184, and
-    # C(184, 3) > 10**6 degree-3 cochains
+def test_diamond_b2_zero_parameter_answers_large_input(capsys):
+    # a zero beside 91 nonzero parameters builds no cochain: one class of
+    # size 91 gives 91**2 - 1, and the abelian plane adds 2 b_1 + b_0 = 3
+    argv = ["diamond-b2", "--lambda", "0"]
+    for _ in range(91):
+        argv += ["--lambda", "1"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "b2 = 8283"
+    # 91 singleton classes
     argv = ["diamond-b2", "--lambda", "0"]
     for p in range(91):
         argv += ["--lambda", str(p + 1)]
     code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err.startswith("error: degree-3 cochains of a dimension-184 algebra")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "b2 = 93"
 
 
 def test_diamond_b2_json(capsys):

@@ -15,9 +15,9 @@ from liecoh.closed_forms import (
     kunneth_convolution,
     lambda_classes,
 )
-from liecoh.cochain import BettiProfile, betti_profile
+from liecoh.cochain import BettiProfile, betti, betti_profile
 from liecoh.errors import ZeroLambda
-from liecoh.lie_algebra import abelian, aff_r, diamond, direct_sum, heisenberg
+from liecoh.lie_algebra import abelian, aff_r, diamond, diamond_algebra, direct_sum, heisenberg
 from liecoh.scalars import Scalar
 
 
@@ -235,3 +235,14 @@ def test_diamond_b2_general_with_zeros():
     for entries in ([0], [1, 0], [0, 2, 0]):
         g, _ = diamond(entries)
         assert diamond_b2_general(entries) == betti_profile(g).b[2]
+
+
+def test_diamond_b2_general_matches_engine_on_seeded_lists():
+    # zeros among parameters that collide up to sign, so the closed form
+    # meets classes of several sizes beside abelian planes of several
+    # dimensions, and lists of zeros alone
+    rng = random.Random(181)
+    pool = [0, 0, 1, -1, 2, Fraction(1, 2), Scalar(0, 1), Scalar(0, -1), Scalar(1, 1)]
+    for _ in range(150):
+        entries = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+        assert diamond_b2_general(entries) == betti(diamond_algebra(entries), 2), entries

@@ -512,6 +512,9 @@ def _reduction_cases(seed):
         cases.append(_monomial_image(rng, g))
         if n < 3:
             cases.append(_dense_image(rng, g))
+    # random changes of basis of the built-in families, and a dense h_5
+    cases += [random_algebra(rng) for _ in range(4)]
+    cases.append(_dense_image(rng, heisenberg(2)))
     return cases
 
 
@@ -586,17 +589,21 @@ def test_reduction_follows_the_structure_it_finds(monkeypatch):
     rng = random.Random(93)
     # x + m0(4) graded with weights 1, 1, 2, 3, then 1, -1, 0, 1 on e_0..e_3:
     # ad(x) is diagonal, also after a monomial change of basis, so only
-    # the weight-0 columns; tr ad(x) != 0, so in every degree.  Graded
-    # with 3, -4, -1, 2 it is unimodular: only up to the middle degree
+    # the weight-0 columns; tr ad(x) != 0, so in every degree that has
+    # one.  Graded with 3, -4, -1, 2 it is unimodular: only up to the
+    # middle degree
     lines = []
     for u, v, top in ((1, 1, 5), (1, -1, 5), (3, -4, 3)):
         weights = [(0,)] + [(w,) for w in (u, v, u + v, 2 * u + v)]
-        line = [(k, _weight_zero_count(weights, k)) for k in range(top)]
+        counts = [(k, _weight_zero_count(weights, k)) for k in range(top)]
+        line = [(k, cols) for k, cols in counts if cols]
         assert _assembled(monkeypatch, _graded_filiform(u, v)) == line
         assert _assembled(monkeypatch, _monomial_image(rng, _graded_filiform(u, v))) == line
-        lines += line
-    assert lines[:5] == [(0, 1), (1, 1), (2, 0), (3, 0), (4, 0)]
-    assert sum(cols for _, cols in lines[5:10]) < sum(comb(5, k) for k in range(5))
+        lines.append(line)
+    # weights 1, 1, 2, 3 leave no weight-0 cochain above degree 1
+    assert lines[0] == [(0, 1), (1, 1)]
+    assert sum(cols for _, cols in lines[1]) < sum(comb(5, k) for k in range(5))
+    lines = [entry for line in lines for entry in line]
     # each factor of a direct sum alone, over its own weight-0 columns
     h = direct_sum(_graded_filiform(1, 1), _graded_filiform(1, -1))
     h = direct_sum(h, _graded_filiform(3, -4))

@@ -70,7 +70,7 @@ DIAMOND_B2_CASES = {
     # all parameters nonzero: the closed form, with its classes; the
     # leading dash of -1/2+i is a value, not a flag
     "classes": ["1", "1", "-1", "2", "-1/2+i"],
-    # a zero parameter: the count goes through the exact engine
+    # a zero parameter: the class count and Kunneth over the abelian summand
     "zero": ["1", "0", "-i"],
 }
 

@@ -126,6 +126,39 @@ def test_rref_idempotent_and_pivots_sorted():
         assert rref(_gaussian(reduced, ncols)) == (reduced, pivots)
 
 
+def test_span_builder_leading_columns_are_the_rref_pivots():
+    # whatever order the rows come in, the leading columns of the span's
+    # vectors are the pivot columns of its reduced echelon form
+    rng = random.Random(19)
+    for rows, ncols in CASES:
+        int_rows = _gaussian(rows, ncols)
+        rng.shuffle(int_rows)
+        span = SpanBuilder()
+        for row in int_rows:
+            span.add(row)
+        assert span.leading_columns == set(rref(int_rows)[1])
+
+
+def test_kernel_basis_on_columns_that_keep_every_pivot():
+    # leaving out free columns leaves the vectors of the other free
+    # columns as they were, entry for entry and in order: the reduced
+    # echelon form of the cut rows is the cut reduced echelon form
+    rng = random.Random(18)
+    for rows, ncols in CASES:
+        int_rows = _gaussian(rows, ncols)
+        _, pivots = rref(int_rows)
+        free = [c for c in range(ncols) if c not in pivots]
+        basis = dict(zip(free, kernel_basis(int_rows, ncols)))
+        columns = sorted({*pivots, *rng.sample(free, rng.randint(0, len(free)))})
+        index = {c: i for i, c in enumerate(columns)}
+        cut = [{index[c]: v for c, v in row.items() if c in index} for row in int_rows]
+        kernel = [
+            [(columns[i], value) for i, value in vector.items()]
+            for vector in kernel_basis(cut, len(columns))
+        ]
+        assert kernel == [list(basis[f].items()) for f in columns if f not in pivots]
+
+
 def test_rank_and_rref_ignore_row_scale_and_order():
     # integer rows with a common Gaussian factor left in, in shuffled
     # order: the same rank, which the minor certificate above proves,

@@ -65,4 +65,5 @@ def test_traced_job_matches_untraced_and_restores_the_package(job, capsys):
     assert "cochain.coboundary_matrix" in spans
     assert tracer.counts["cochain.assemble_cols"] > 0
     if job == "cocycles":
-        assert "linalg.rref" in spans and "linalg.SpanBuilder.add" in spans
+        # the dense layer that perfbench's linalg metrics attribute
+        assert {"linalg.kernel_basis", "linalg.rref", "linalg.SpanBuilder.add"} <= spans
