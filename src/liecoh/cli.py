@@ -17,8 +17,9 @@ Output is ``table`` (default), ``json`` or ``csv`` and goes to stdout
 or ``--output``.  ``profile --format json`` documents are accepted back
 by ``verify --input`` for an end-to-end recomputation check.
 
-Each option is declared once, on a parent parser that every subcommand
-taking it shares; each subcommand's handler takes the parsed argparse
+Each option is declared once, in a table of flags and ``add_argument``
+keywords; ``main`` builds only the subcommand its first argument names
+(all six for help and usage errors), and its handler takes the parsed
 namespace and returns (text, exit code).  A ``--lambda`` value that does
 not parse is refused by every command that accepts the option, whether
 or not the chosen algebra uses it.
@@ -179,18 +180,10 @@ def _names_for(algebra: lie_algebra.LieAlgebra) -> list[str]:
 
 
 def _profile_rows(profile: cochain.BettiProfile):
-    rows = []
-    for k in range(profile.n + 1):
-        rows.append(
-            (
-                k,
-                closed_forms.binom(profile.n, k),
-                profile.images[k],
-                profile.ranks[k],
-                profile.b[k],
-            )
-        )
-    return rows
+    return [
+        (k, closed_forms.binom(profile.n, k), profile.images[k], profile.ranks[k], profile.b[k])
+        for k in range(profile.n + 1)
+    ]
 
 
 def _render_table(headers, rows) -> str:
@@ -458,55 +451,57 @@ def _csv_text(headers, rows) -> str:
     return buffer.getvalue()
 
 
-def build_parser() -> argparse.ArgumentParser:
-    def parent(*parents) -> argparse.ArgumentParser:
-        return argparse.ArgumentParser(add_help=False, parents=list(parents))
-
-    source = parent()
-    source.add_argument(
-        "--input", metavar="PATH", help="JSON algebra file (verify: a profile JSON to re-check)"
-    )
-    lam = parent()
-    lam.add_argument(
-        "--lambda",
+# every option once: its flag and its add_argument keyword arguments
+_OPTIONS = {
+    "--input": dict(
+        metavar="PATH", help="JSON algebra file (verify: a profile JSON to re-check)"
+    ),
+    "--lambda": dict(
         dest="lam",
         action="append",
         metavar="SCALAR",
         help="diamond parameter, repeatable; grammar like 1, -1/2, 1/2+3/4i",
-    )
-    algebra = parent(source, lam)
-    algebra.add_argument("--family", choices=FAMILIES, help="built-in algebra family")
-    algebra.add_argument("--m", type=int, help="Heisenberg parameter")
-    algebra.add_argument("--d", type=int, help="abelian dimension")
-    algebra.add_argument("--n", type=int, help="total dimension for the -ext families")
-    degree = parent()
-    degree.add_argument("--degree", type=int, required=True)
-    seed = parent()
-    seed.add_argument("--seed", type=int, help="random seed for the diamond sweep")
-    output = parent()
-    output.add_argument(
-        "--format",
+    ),
+    "--family": dict(choices=FAMILIES, help="built-in algebra family"),
+    "--m": dict(type=int, help="Heisenberg parameter"),
+    "--d": dict(type=int, help="abelian dimension"),
+    "--n": dict(type=int, help="total dimension for the -ext families"),
+    "--degree": dict(type=int, required=True),
+    "--seed": dict(type=int, help="random seed for the diamond sweep"),
+    "--format": dict(
         dest="fmt",
         choices=("table", "json", "csv"),
         default="table",
         help="output format (default table)",
-    )
-    output.add_argument("--output", metavar="PATH", help="write output to a file")
+    ),
+    "--output": dict(metavar="PATH", help="write output to a file"),
+}
+_ALGEBRA = ("--input", "--lambda", "--family", "--m", "--d", "--n")
+_ALGEBRA_AT_DEGREE = (*_ALGEBRA, "--degree")
+# (name, handler, help, its options before --format and --output, which all take)
+_COMMANDS = (
+    ("betti", _cmd_betti, "one Betti number", _ALGEBRA_AT_DEGREE),
+    ("profile", _cmd_profile, "full Betti profile", _ALGEBRA),
+    ("cocycles", _cmd_cocycles, "cohomology class representatives", _ALGEBRA_AT_DEGREE),
+    ("export-matrix", _cmd_export_matrix, "one coboundary matrix as text", _ALGEBRA_AT_DEGREE),
+    ("diamond-b2", _cmd_diamond_b2, "degree-2 count for diamond parameters", ("--lambda",)),
+    ("verify", _cmd_verify, "sweep closed formulas against the engine", ("--input", "--seed")),
+)
 
-    parser = argparse.ArgumentParser(
-        prog="liecoh",
-        description="Exact Lie algebra cohomology with trivial coefficients.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler, text, parents in (
-        ("betti", _cmd_betti, "one Betti number", [algebra, degree]),
-        ("profile", _cmd_profile, "full Betti profile", [algebra]),
-        ("cocycles", _cmd_cocycles, "cohomology class representatives", [algebra, degree]),
-        ("export-matrix", _cmd_export_matrix, "one coboundary matrix as text", [algebra, degree]),
-        ("diamond-b2", _cmd_diamond_b2, "degree-2 count for diamond parameters", [lam]),
-        ("verify", _cmd_verify, "sweep closed formulas against the engine", [source, seed]),
-    ):
-        sub.add_parser(name, help=text, parents=[*parents, output]).set_defaults(handler=handler)
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The root parser with the subcommand named ``command``, or with all if it names none."""
+    description = "Exact Lie algebra cohomology with trivial coefficients."
+    parser = argparse.ArgumentParser(prog="liecoh", description=description)
+    chosen = [row for row in _COMMANDS if row[0] == command]
+    # the root usage of a one-subcommand parser still lists every choice
+    metavar = "{" + ",".join(row[0] for row in _COMMANDS) + "}" if chosen else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, handler, text, options in chosen or _COMMANDS:
+        subparser = sub.add_parser(name, help=text)
+        for flag in (*options, "--format", "--output"):
+            subparser.add_argument(flag, **_OPTIONS[flag])
+        subparser.set_defaults(handler=handler)
     return parser
 
 
@@ -529,7 +524,8 @@ def _absorb_lambda_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_absorb_lambda_values(list(argv)))
+    argv = _absorb_lambda_values(list(argv))
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         text, code = args.handler(args)
     except LieCohError as err:

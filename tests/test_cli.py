@@ -132,7 +132,7 @@ def test_diamond_b2_with_classes(capsys):
     assert lines[2] == "class 2: rep 2, p=1, q=0, n_2=1"
 
 
-def test_diamond_b2_zero_parameter_goes_through_engine(capsys):
+def test_diamond_b2_zero_parameter_takes_the_general_closed_form(capsys):
     code, out, _ = run(capsys, "diamond-b2", "--lambda", "0")
     assert code == 0
     lines = out.splitlines()

@@ -5,7 +5,8 @@ go through ``cli.main`` in process.  Whatever the input, the exit code
 is 0, 1 or 2 (argparse's ``SystemExit(2)`` counts as 2), nothing but
 ``SystemExit`` escapes, and stderr holds no traceback.  Every algebra
 that ``profile --format json`` accepts round-trips through ``verify
---input``.
+--input``.  The parser that ``main`` builds for one subcommand parses
+every mutated argv as the parser of all six does.
 """
 
 import copy
@@ -15,7 +16,7 @@ import re
 
 import pytest
 
-from liecoh.cli import FAMILIES, main
+from liecoh.cli import FAMILIES, _absorb_lambda_values, build_parser, main
 from liecoh.lie_algebra import (
     abelian,
     aff_r,
@@ -54,7 +55,8 @@ VALUES = [
     "1.5", "1/0", "", "table", "json", "csv", "xml",
     "algebra.json", "profile.json", "missing.json", ".", "out.txt", "missing/out.txt",
 ]
-COMMANDS = ["betti", "profile", "cocycles", "export-matrix", "diamond-b2", "verify", "nope"]
+SUBCOMMANDS = ["betti", "profile", "cocycles", "export-matrix", "diamond-b2", "verify"]
+COMMANDS = [*SUBCOMMANDS, "nope"]
 # valid command lines, each the start of a run of token mutations
 TEMPLATES = [
     ["betti", "--family", "heisenberg", "--m", "1", "--degree", "1"],
@@ -203,3 +205,26 @@ def test_random_argv(seed, capsys, tmp_path, monkeypatch):
     rng = random.Random(seed)
     for _ in range(TRIALS):
         call(capsys, random_argv(rng))
+
+
+def parse(capsys, parser, argv):
+    # the namespace, or the exit code and output of a usage error or help
+    try:
+        return parser.parse_args(argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_one_subcommand_parser_agrees_with_the_full_tree(seed, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    rng = random.Random(seed)
+    checked = 0
+    for _ in range(5 * TRIALS):
+        argv = _absorb_lambda_values(random_argv(rng))
+        if argv[:1] and argv[0] in SUBCOMMANDS:
+            full = parse(capsys, build_parser(), argv)
+            assert parse(capsys, build_parser(argv[0]), argv) == full, argv
+            checked += 1
+    assert checked > 2 * TRIALS

@@ -760,3 +760,26 @@ def test_torus_route_counts_no_larger_subsets_than_the_degree_needs(monkeypatch)
     monkeypatch.setattr(cochain, "_subset_counts", spy)
     assert [betti(g, k) for k in range(3)] == [1, 1, 19]
     assert largest and max(largest) <= 3
+
+
+@pytest.mark.parametrize("seed", [99, 100, 101])
+def test_equal_unit_weights_match_the_full_complex(seed):
+    # diamond parameters from {1, -1, i, -i}: many equal small weights,
+    # whose sums the weight packing must keep apart.  Packed in base 3,
+    # three weights i and one weight -1 sum to 0, so a base of only twice
+    # the largest component plus one reads (..., 10, 20, 10, ...) in the
+    # middle of diamond(i, i, i, +-1), where the full complex gives 8, 16, 8
+    rng = random.Random(seed)
+    i = Scalar(0, 1)
+    units = [ONE, -ONE, i, -i]
+    fixed = [[i, i, i, ONE], [i, i, i, -ONE]]
+    seeded = [[rng.choice(units) for _ in range(rng.randint(3, 5))] for _ in range(3)]
+    for lam in fixed + seeded:
+        g, _ = diamond(lam)
+        n = g.dim
+        full = BettiProfile.from_ranks(
+            n, [rank_exact(coboundary_matrix(g, k)) for k in range(n + 1)]
+        )
+        assert betti_profile(g) == full
+        if lam in fixed:
+            assert full.b == (1, 1, 9, 9, 8, 16, 8, 9, 9, 1, 1)
