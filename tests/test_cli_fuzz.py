@@ -217,8 +217,7 @@ def parse(capsys, parser, argv):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_one_subcommand_parser_agrees_with_the_full_tree(seed, capsys, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
+def test_one_subcommand_parser_agrees_with_the_full_tree(seed, capsys):
     rng = random.Random(seed)
     checked = 0
     for _ in range(5 * TRIALS):
