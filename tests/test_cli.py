@@ -230,6 +230,52 @@ def test_profile_json_round_trips_through_verify(capsys, tmp_path):
     assert out.startswith("ok: ")
 
 
+VERIFY_SUMMARIES = [
+    "aff-ext n=2..10 ok\n",
+    "heisenberg m=1..4 ok\n",
+    "heisenberg-ext grids ok\n",
+]
+# closed form as the CLI reads it: (the one call made off by one, the
+# groups that pass before it, the line that reports it at --seed 5)
+SWEEP_FAULTS = {
+    "betti_aff_ext": (
+        lambda n, k: (n, k) == (4, 2), 0, "MISMATCH aff-ext(n=4) degree=2: engine=3 formula=4"
+    ),
+    "betti_heisenberg": (
+        lambda m, k: (m, k) == (3, 3), 1, "MISMATCH heisenberg(m=3) degree=3: engine=14 formula=15"
+    ),
+    "betti_heisenberg_ext": (
+        lambda m, n, k: (m, n, k) == (2, 7, 4),
+        2,
+        "MISMATCH heisenberg-ext(m=2, n=7) degree=4: engine=19 formula=20",
+    ),
+    # the 13th list drawn from seed 5
+    "diamond_b2": (
+        lambda spec: [str(v) for v in spec.entries] == ["3/2", "-4/3", "3/2"],
+        3,
+        "MISMATCH diamond(3/2,-4/3,3/2) degree=2: engine=4 formula=5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_FAULTS))
+def test_verify_sweep_stops_at_the_first_wrong_closed_form(capsys, monkeypatch, name):
+    chosen, passed, line = SWEEP_FAULTS[name]
+    real = getattr(liecoh.cli.closed_forms, name)
+    monkeypatch.setattr(
+        liecoh.cli.closed_forms, name, lambda *call: real(*call) + chosen(*call)
+    )
+    code, out, err = run(capsys, "verify", "--seed", "5")
+    assert (code, out, err) == (1, "".join(VERIFY_SUMMARIES[:passed]) + line + "\n", "")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_ignores_the_format(capsys, fmt):
+    shown = dict((tuple(argv), text) for argv, text in README_EXAMPLES)
+    expected = shown[("verify", "--seed", "5")]
+    assert run(capsys, "verify", "--seed", "5", "--format", fmt) == (0, expected, "")
+
+
 def test_verify_catches_tampered_profile(capsys, tmp_path):
     path = tmp_path / "profile.json"
     run(

@@ -10,9 +10,15 @@ from pathlib import Path
 
 import pytest
 
+from liecoh import lie_algebra
 from liecoh.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def _refuse(*args):
+    raise AssertionError("algebra_to_json called for a table or csv job")
+
 
 CASES = {
     "heisenberg-m2-k2": ["--family", "heisenberg", "--m", "2", "--degree", "2"],
@@ -40,6 +46,9 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cocycles_output_is_pinned(case, fmt, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)
+    if fmt != "json":
+        # a table or csv job builds no JSON document
+        monkeypatch.setattr(lie_algebra, "algebra_to_json", _refuse)
     code = main(["cocycles", *CASES[case], "--format", fmt])
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
