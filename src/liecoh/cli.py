@@ -19,10 +19,16 @@ by ``verify --input`` for an end-to-end recomputation check.
 
 Each option is declared once, in a table of flags and ``add_argument``
 keywords; ``main`` builds only the subcommand its first argument names
-(all six for help and usage errors), and its handler takes the parsed
-namespace and returns (text, exit code).  A ``--lambda`` value that does
-not parse is refused by every command that accepts the option, whether
-or not the chosen algebra uses it.
+(all six for help and usage errors) and writes the text its handler
+returns.  ``betti``, ``profile``, ``cocycles`` and ``diamond-b2`` hand
+their JSON fields, csv rows and a table builder to one renderer,
+``_emit``, which builds only the format asked for; ``export-matrix`` and
+``verify`` accept ``--format`` and print their own text.  ``verify``
+runs one loop over a table of groups (aff-ext, Heisenberg,
+heisenberg-ext, seeded diamonds), each member's engine profile against
+its closed-form Betti numbers.  A ``--lambda`` value that does not parse
+is refused by every command that accepts the option, whether or not the
+chosen algebra uses it.
 
 Exit codes: 0 success, 1 verification found a counterexample, 2 bad
 input or I/O trouble.  A command whose cochain spaces would exceed
@@ -45,7 +51,7 @@ from fractions import Fraction
 from math import comb
 
 from . import closed_forms, cochain, exterior, lie_algebra
-from .errors import BadInput, IOFailure, LieCohError, UnknownFamily, ZeroLambda
+from .errors import BadInput, IOFailure, LieCohError, UnknownFamily
 from .scalars import Scalar, parse_scalar
 
 __all__ = ["main"]
@@ -179,23 +185,24 @@ def _names_for(algebra: lie_algebra.LieAlgebra) -> list[str]:
     return exterior.default_names(algebra.dim)
 
 
-def _profile_rows(profile: cochain.BettiProfile):
-    return [
-        (k, closed_forms.binom(profile.n, k), profile.images[k], profile.ranks[k], profile.b[k])
-        for k in range(profile.n + 1)
-    ]
-
-
 def _render_table(headers, rows) -> str:
-    table = [tuple(str(v) for v in row) for row in rows]
-    widths = [
-        max(len(headers[c]), *(len(row[c]) for row in table)) if table else len(headers[c])
-        for c in range(len(headers))
-    ]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for row in table:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
+    table = [tuple(headers), *(tuple(str(v) for v in row) for row in rows)]
+    widths = [max(len(row[c]) for row in table) for c in range(len(headers))]
+    return "\n".join("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() for row in table)
+
+
+def _emit(args: argparse.Namespace, algebra, fields: dict, headers, rows, table) -> tuple[str, int]:
+    """A command's output in the chosen ``--format``: the JSON document
+    of its algebra (None for none) and ``fields``, csv of ``headers`` and
+    ``rows``, or the text ``table()`` returns.  Only that one is built."""
+    if args.fmt == "json":
+        doc = {"command": args.command}
+        if algebra is not None:
+            doc["algebra"] = lie_algebra.algebra_to_json(algebra)
+        return json.dumps({**doc, **fields}, indent=2) + "\n", 0
+    if args.fmt == "csv":
+        return _csv_text(headers, rows), 0
+    return table(), 0
 
 
 _PROFILE_HEADERS = ("degree", "cochain_dim", "rank_below", "rank", "betti")
@@ -204,40 +211,30 @@ _PROFILE_HEADERS = ("degree", "cochain_dim", "rank_below", "rank", "betti")
 def _cmd_profile(args: argparse.Namespace) -> tuple[str, int]:
     algebra, title = _load_algebra(args, _middle_degree)
     profile = cochain.betti_profile(algebra)
-    rows = _profile_rows(profile)
-    if args.fmt == "json":
-        doc = {
-            "command": "profile",
-            "algebra": lie_algebra.algebra_to_json(algebra),
-            "dim": profile.n,
-            "betti": list(profile.b),
-            "ranks": list(profile.ranks),
-            "kernels": list(profile.kernels),
-            "images": list(profile.images),
-        }
-        return json.dumps(doc, indent=2) + "\n", 0
-    if args.fmt == "csv":
-        return _csv_text(_PROFILE_HEADERS, rows), 0
-    body = _render_table(_PROFILE_HEADERS, rows)
-    profile_line = "profile: " + " ".join(str(v) for v in profile.b)
-    return f"{title}  dim {profile.n}\n{body}\n{profile_line}\n", 0
+    n, b = profile.n, profile.b
+    rows = [(k, comb(n, k), profile.images[k], profile.ranks[k], b[k]) for k in range(n + 1)]
+    fields = {
+        "dim": n,
+        "betti": list(b),
+        "ranks": list(profile.ranks),
+        "kernels": list(profile.kernels),
+        "images": list(profile.images),
+    }
+
+    def table():
+        body = _render_table(_PROFILE_HEADERS, rows)
+        profile_line = "profile: " + " ".join(str(v) for v in b)
+        return f"{title}  dim {n}\n{body}\n{profile_line}\n"
+
+    return _emit(args, algebra, fields, _PROFILE_HEADERS, rows, table)
 
 
 def _cmd_betti(args: argparse.Namespace) -> tuple[str, int]:
     k = args.degree
-    algebra, title = _load_algebra(args, lambda n: [k - 1, k, k + 1])
+    algebra, _ = _load_algebra(args, lambda n: [k - 1, k, k + 1])
     value = cochain.betti(algebra, k)
-    if args.fmt == "json":
-        doc = {
-            "command": "betti",
-            "algebra": lie_algebra.algebra_to_json(algebra),
-            "degree": k,
-            "betti": value,
-        }
-        return json.dumps(doc, indent=2) + "\n", 0
-    if args.fmt == "csv":
-        return _csv_text(("degree", "betti"), [(k, value)]), 0
-    return f"{value}\n", 0
+    fields = {"degree": k, "betti": value}
+    return _emit(args, algebra, fields, ("degree", "betti"), [(k, value)], lambda: f"{value}\n")
 
 
 def _cmd_cocycles(args: argparse.Namespace) -> tuple[str, int]:
@@ -246,21 +243,15 @@ def _cmd_cocycles(args: argparse.Namespace) -> tuple[str, int]:
     representatives = cochain.cohomology_representatives(algebra, k)
     names = _names_for(algebra)
     rendered = [exterior.format_form(w, names) for w in representatives]
-    if args.fmt == "json":
-        doc = {
-            "command": "cocycles",
-            "algebra": lie_algebra.algebra_to_json(algebra),
-            "degree": k,
-            "betti": len(rendered),
-            "representatives": rendered,
-        }
-        return json.dumps(doc, indent=2) + "\n", 0
-    if args.fmt == "csv":
-        return _csv_text(("index", "representative"), list(enumerate(rendered))), 0
-    lines = [f"{title}  degree {k}  b_{k} = {len(rendered)}"]
-    for text in rendered:
-        lines.append(f"  [{text}]")
-    return "\n".join(lines) + "\n", 0
+    fields = {"degree": k, "betti": len(rendered), "representatives": rendered}
+
+    def table():
+        lines = [f"{title}  degree {k}  b_{k} = {len(rendered)}"]
+        lines += [f"  [{text}]" for text in rendered]
+        return "\n".join(lines) + "\n"
+
+    headers = ("index", "representative")
+    return _emit(args, algebra, fields, headers, enumerate(rendered), table)
 
 
 def _cmd_export_matrix(args: argparse.Namespace) -> tuple[str, int]:
@@ -274,10 +265,12 @@ def _cmd_diamond_b2(args: argparse.Namespace) -> tuple[str, int]:
     entries = _lambdas(args)
     if not entries:
         raise BadInput("diamond-b2 needs at least one --lambda")
-    try:
-        spec = closed_forms.lambda_classes(entries)
-        value = closed_forms.diamond_b2(spec)
-        classes = [
+    value = closed_forms.diamond_b2_general(entries)
+    fields = {"lambda": [str(v) for v in entries], "b2": value}
+    lines = [f"b2 = {value}"]
+    if all(entries):
+        classes = closed_forms.lambda_classes(entries).classes
+        fields["classes"] = [
             {
                 "rep": str(cls.rep),
                 "p": cls.p,
@@ -285,26 +278,9 @@ def _cmd_diamond_b2(args: argparse.Namespace) -> tuple[str, int]:
                 "size": cls.size,
                 "members": list(cls.members),
             }
-            for cls in spec.classes
+            for cls in classes
         ]
-    except ZeroLambda:
-        spec = None
-        value = closed_forms.diamond_b2_general(entries)
-        classes = None
-    if args.fmt == "json":
-        doc = {
-            "command": "diamond-b2",
-            "lambda": [str(v) for v in entries],
-            "b2": value,
-        }
-        if classes is not None:
-            doc["classes"] = classes
-        return json.dumps(doc, indent=2) + "\n", 0
-    if args.fmt == "csv":
-        return _csv_text(("b2",), [(value,)]), 0
-    lines = [f"b2 = {value}"]
-    if spec is not None:
-        for idx, cls in enumerate(spec.classes, start=1):
+        for idx, cls in enumerate(classes, start=1):
             lines.append(
                 f"class {idx}: rep {cls.rep}, p={cls.p}, q={cls.q}, n_{idx}={cls.size}"
             )
@@ -314,7 +290,7 @@ def _cmd_diamond_b2(args: argparse.Namespace) -> tuple[str, int]:
             f"{dropped} zero parameter(s) split off an abelian summand; "
             "count by Kunneth over that summand"
         )
-    return "\n".join(lines) + "\n", 0
+    return _emit(args, None, fields, ("b2",), [(value,)], lambda: "\n".join(lines) + "\n")
 
 
 def _random_lambda(rng: random.Random) -> list[Scalar]:
@@ -375,69 +351,62 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
         return _verify_profile_doc(args.input)
     seed = args.seed
     if seed is None:
-        env = os.environ.get("LIECOH_SEED")
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                raise BadInput(f"LIECOH_SEED must be an integer, got {env!r}") from None
-        else:
-            seed = DEFAULT_SEED
-    lines = []
-    checks = 0
+        env = os.environ.get("LIECOH_SEED", str(DEFAULT_SEED))
+        try:
+            seed = int(env)
+        except ValueError:
+            raise BadInput(f"LIECOH_SEED must be an integer, got {env!r}") from None
 
-    def mismatch(label: str, degree: int, engine: int, formula: int) -> tuple[str, int]:
-        lines.append(
-            f"MISMATCH {label} degree={degree}: engine={engine} formula={formula}"
-        )
-        return "\n".join(lines) + "\n", 1
-
-    for n in range(2, 11):
-        algebra = lie_algebra.direct_sum(lie_algebra.aff_r(), lie_algebra.abelian(n - 2))
-        profile = _full_complex_profile(algebra)
-        for k in range(n + 1):
-            checks += 1
-            expected = closed_forms.betti_aff_ext(n, k)
-            if profile.b[k] != expected:
-                return mismatch(f"aff-ext(n={n})", k, profile.b[k], expected)
-    lines.append("aff-ext n=2..10 ok")
-
-    for m in range(1, 5):
-        algebra = lie_algebra.heisenberg(m)
-        profile = _full_complex_profile(algebra)
-        for k in range(2 * m + 2):
-            checks += 1
-            expected = closed_forms.betti_heisenberg(m, k)
-            if profile.b[k] != expected:
-                return mismatch(f"heisenberg(m={m})", k, profile.b[k], expected)
-    lines.append("heisenberg m=1..4 ok")
-
-    for m in range(1, 5):
-        for n in range(2 * m + 2, 11):
-            algebra = lie_algebra.direct_sum(
-                lie_algebra.heisenberg(m), lie_algebra.abelian(n - 2 * m - 1)
-            )
-            profile = _full_complex_profile(algebra)
-            for k in range(n + 1):
-                checks += 1
-                expected = closed_forms.betti_heisenberg_ext(m, n, k)
-                if profile.b[k] != expected:
-                    return mismatch(
-                        f"heisenberg-ext(m={m}, n={n})", k, profile.b[k], expected
-                    )
-    lines.append("heisenberg-ext grids ok")
+    def member(family: str, lam=(), **params) -> tuple[str, lie_algebra.LieAlgebra]:
+        # the label and the algebra that --family makes of these parameters
+        _, build, title = _build_family(argparse.Namespace(family=family, **params), lam)
+        return title, build()
 
     rng = random.Random(seed)
-    for _ in range(25):
-        lam = _random_lambda(rng)
-        engine = _full_complex_profile(lie_algebra.diamond_algebra(lam)).b[2]
-        expected = closed_forms.diamond_b2(closed_forms.lambda_classes(lam))
-        checks += 1
-        if engine != expected:
-            label = "diamond(" + ",".join(str(v) for v in lam) + ")"
-            return mismatch(label, 2, engine, expected)
-    lines.append("25 random diamond parameter lists ok")
-
+    # (summary line, cases), each case (label, algebra, closed-form b_k by
+    # degree); a case is made, and its diamond drawn, only when the sweep
+    # reaches it
+    groups = (
+        ("aff-ext n=2..10 ok", (
+            (*member("aff-ext", n=n), {k: closed_forms.betti_aff_ext(n, k) for k in range(n + 1)})
+            for n in range(2, 11)
+        )),
+        ("heisenberg m=1..4 ok", (
+            (
+                *member("heisenberg", m=m),
+                {k: closed_forms.betti_heisenberg(m, k) for k in range(2 * m + 2)},
+            )
+            for m in range(1, 5)
+        )),
+        ("heisenberg-ext grids ok", (
+            (
+                *member("heisenberg-ext", m=m, n=n),
+                {k: closed_forms.betti_heisenberg_ext(m, n, k) for k in range(n + 1)},
+            )
+            for m in range(1, 5)
+            for n in range(2 * m + 2, 11)
+        )),
+        ("25 random diamond parameter lists ok", (
+            (
+                *member("diamond", lam),
+                {2: closed_forms.diamond_b2(closed_forms.lambda_classes(lam))},
+            )
+            for lam in (_random_lambda(rng) for _ in range(25))
+        )),
+    )
+    lines = []
+    checks = 0
+    for summary, cases in groups:
+        for label, algebra, closed in cases:
+            engine = _full_complex_profile(algebra).b
+            for k, expected in closed.items():
+                checks += 1
+                if engine[k] != expected:
+                    lines.append(
+                        f"MISMATCH {label} degree={k}: engine={engine[k]} formula={expected}"
+                    )
+                    return "\n".join(lines) + "\n", 1
+        lines.append(summary)
     lines.append(f"ok: {checks} checks passed (seed {seed})")
     return "\n".join(lines) + "\n", 0
 
@@ -446,8 +415,7 @@ def _csv_text(headers, rows) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(headers)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buffer.getvalue()
 
 

@@ -384,50 +384,42 @@ def rank_exact(matrix: CoboundaryMatrix) -> int:
 class BettiProfile:
     """Betti numbers of one algebra with the rank bookkeeping behind them.
 
-    ``ranks[k]`` is the rank of d on degree-k cochains, ``kernels[k]``
-    the dimension of the closed forms, ``images[k]`` the dimension of
-    the exact forms in degree k.
+    Only ``ranks`` is stored: ``ranks[k]`` is the rank of d on degree-k
+    cochains.  ``kernels[k]`` (the dimension of the closed forms),
+    ``images[k]`` (of the exact forms) and ``b[k]`` follow from the ranks
+    and are computed once per profile.
     """
 
     n: int
-    b: tuple[int, ...]
     ranks: tuple[int, ...]
-    kernels: tuple[int, ...]
-    images: tuple[int, ...]
 
     def __post_init__(self):
         n = self.n
-        if len(self.b) != n + 1 or len(self.ranks) != n + 1:
+        if len(self.ranks) != n + 1:
             raise DimensionMismatch("profile vectors must have length n + 1")
         if self.ranks[n] != 0:
             raise DimensionMismatch("the top coboundary has no rows, so rank 0")
-        for k in range(n + 1):
-            if self.kernels[k] + self.ranks[k] != comb(n, k):
-                raise DimensionMismatch(f"rank-nullity fails in degree {k}")
-            below = self.ranks[k - 1] if k > 0 else 0
-            if self.images[k] != below:
-                raise DimensionMismatch(f"image dimension wrong in degree {k}")
-            if self.b[k] != comb(n, k) - below - self.ranks[k]:
-                raise DimensionMismatch(f"Betti number inconsistent in degree {k}")
-            if self.b[k] < 0:
+        for k, bk in enumerate(self.b):
+            if bk < 0:
                 raise DimensionMismatch(f"negative Betti number in degree {k}")
         if self.b[0] != 1:
             raise DimensionMismatch("degree-0 cohomology of a Lie algebra is the scalars")
-        if n >= 1 and sum((-1) ** k * bk for k, bk in enumerate(self.b)) != 0:
-            raise DimensionMismatch("Euler characteristic must vanish for n >= 1")
+
+    @cached_property
+    def images(self) -> tuple[int, ...]:
+        return (0, *self.ranks[:-1])
+
+    @cached_property
+    def kernels(self) -> tuple[int, ...]:
+        return tuple(comb(self.n, k) - rank for k, rank in enumerate(self.ranks))
+
+    @cached_property
+    def b(self) -> tuple[int, ...]:
+        return tuple(z - below for z, below in zip(self.kernels, self.images))
 
     @classmethod
     def from_ranks(cls, n: int, ranks) -> "BettiProfile":
-        ranks = tuple(ranks)
-        b = []
-        kernels = []
-        images = []
-        for k in range(n + 1):
-            below = ranks[k - 1] if k > 0 else 0
-            b.append(comb(n, k) - below - ranks[k])
-            kernels.append(comb(n, k) - ranks[k])
-            images.append(below)
-        return cls(n=n, b=tuple(b), ranks=ranks, kernels=tuple(kernels), images=tuple(images))
+        return cls(n=n, ranks=tuple(ranks))
 
     @classmethod
     def from_betti(cls, n: int, b) -> "BettiProfile":
