@@ -250,8 +250,7 @@ def _cmd_cocycles(args: argparse.Namespace) -> tuple[str, int]:
         lines += [f"  [{text}]" for text in rendered]
         return "\n".join(lines) + "\n"
 
-    headers = ("index", "representative")
-    return _emit(args, algebra, fields, headers, enumerate(rendered), table)
+    return _emit(args, algebra, fields, ("index", "representative"), enumerate(rendered), table)
 
 
 def _cmd_export_matrix(args: argparse.Namespace) -> tuple[str, int]:

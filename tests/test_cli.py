@@ -271,7 +271,7 @@ def test_verify_sweep_stops_at_the_first_wrong_closed_form(capsys, monkeypatch, 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_verify_ignores_the_format(capsys, fmt):
-    shown = dict((tuple(argv), text) for argv, text in README_EXAMPLES)
+    shown = {tuple(argv): text for argv, text in README_EXAMPLES}
     expected = shown[("verify", "--seed", "5")]
     assert run(capsys, "verify", "--seed", "5", "--format", fmt) == (0, expected, "")
 
