@@ -28,16 +28,13 @@ from .cochain import (
     rank_exact,
 )
 from .errors import LieCohError
-from .exterior import ExteriorForm, basis, interior_product, wedge
+from .exterior import ExteriorForm, basis, wedge
 from .lie_algebra import (
     LieAlgebra,
     abelian,
     aff_r,
-    bracket,
-    derived_ideal_dim,
     diamond,
     direct_sum,
-    from_structure_constants,
     heisenberg,
 )
 from .quadratic import QuadraticStructure, coboundary_via_poisson, super_poisson

@@ -1,11 +1,11 @@
 """Closed-form Betti numbers for the families the engine can cross-check.
 
 Everything here is combinatorial: binomials with the convention
-C(n, k) = 0 outside 0 <= k <= n, Kunneth convolution of Betti vectors,
-and the known profiles of the affine-line and Heisenberg families plus
-the degree-2 count for generalized diamond algebras.  The test suite
-plays these formulas off against the exact matrix engine in both
-directions.
+C(n, k) = 0 outside 0 <= k <= n, the known profiles of the affine-line
+and Heisenberg families and the degree-2 count for generalized diamond
+algebras.  The module imports nothing from ``cochain``, so the test
+suite and ``verify`` can play these formulas off against the exact
+engine as an independent route.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cochain import BettiProfile, _convolve
 from .errors import DegreeOutOfRange, DimensionMismatch, ZeroLambda
 from .scalars import Scalar
 
@@ -22,7 +21,6 @@ __all__ = [
     "betti_aff_ext",
     "betti_heisenberg",
     "betti_heisenberg_ext",
-    "kunneth_convolution",
     "LambdaClass",
     "LambdaSpec",
     "lambda_classes",
@@ -96,24 +94,6 @@ def betti_heisenberg_ext(m: int, n: int, k: int) -> int:
         factor = binom(2 * m, i - step) - binom(2 * m, i + 3 * step - 2)
         total += factor * binom(n - 2 * m - 1, k - i)
     return total
-
-
-def _betti_vector(profile) -> tuple[int, ...]:
-    if isinstance(profile, BettiProfile):
-        return profile.b
-    return tuple(int(v) for v in profile)
-
-
-def kunneth_convolution(a, b) -> BettiProfile:
-    """Betti profile of a direct sum from the factors' profiles.
-
-    c_k = sum_i a_i * b_{k-i}; accepts BettiProfile objects or plain
-    Betti vectors and returns a full profile (the rank data of a direct
-    sum is forced by its Betti vector).
-    """
-    va = _betti_vector(a)
-    vb = _betti_vector(b)
-    return BettiProfile.from_betti(len(va) + len(vb) - 2, _convolve(va, vb))
 
 
 @dataclass(frozen=True)

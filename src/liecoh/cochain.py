@@ -418,10 +418,6 @@ class BettiProfile:
         return tuple(z - below for z, below in zip(self.kernels, self.images))
 
     @classmethod
-    def from_ranks(cls, n: int, ranks) -> "BettiProfile":
-        return cls(n=n, ranks=tuple(ranks))
-
-    @classmethod
     def from_betti(cls, n: int, b) -> "BettiProfile":
         """Reconstruct the rank data a Betti vector forces.
 
@@ -437,7 +433,7 @@ class BettiProfile:
             rank = comb(n, k) - b[k] - below
             ranks.append(rank)
             below = rank
-        return cls.from_ranks(n, tuple(ranks))
+        return cls(n=n, ranks=tuple(ranks))
 
 
 def _blocks(algebra: LieAlgebra) -> tuple[list[list[int]], int]:

@@ -19,13 +19,12 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import DegreeOutOfRange, DegreeZero, DimensionMismatch
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ZERO, Scalar
 
 __all__ = [
     "ExteriorForm",
     "basis",
     "wedge",
-    "interior_product",
     "format_form",
     "parse_form",
 ]
@@ -36,23 +35,6 @@ def basis(dim: int, k: int) -> list[tuple[int, ...]]:
     if not (0 <= k <= dim):
         raise DegreeOutOfRange(f"degree {k} outside 0..{dim}")
     return list(combinations(range(dim), k))
-
-
-def _normalise(indices) -> tuple[tuple[int, ...] | None, int]:
-    # sort a repetition-free index sequence, returning (key, sign); key is
-    # None when an index repeats and the monomial is zero
-    seq = list(indices)
-    sign = 1
-    for i in range(1, len(seq)):
-        j = i
-        while j > 0 and seq[j - 1] > seq[j]:
-            seq[j - 1], seq[j] = seq[j], seq[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(seq, seq[1:]):
-        if a == b:
-            return None, 0
-    return tuple(seq), sign
 
 
 class ExteriorForm:
@@ -87,32 +69,8 @@ class ExteriorForm:
     def zero(cls, dim: int, degree: int) -> "ExteriorForm":
         return cls(dim, degree, {})
 
-    @classmethod
-    def monomial(cls, dim: int, indices, coeff=ONE) -> "ExteriorForm":
-        """The monomial on the given indices, in any order, sign-normalised."""
-        key, sign = _normalise(indices)
-        if key is None:
-            return cls.zero(dim, len(tuple(indices)))
-        return cls(dim, len(key), {key: Scalar.coerce(coeff) * sign})
-
-    @classmethod
-    def covector(cls, dim: int, index: int) -> "ExteriorForm":
-        """The dual basis one-form e_index*."""
-        return cls(dim, 1, {(index,): ONE})
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def items(self):
-        """Terms in lexicographic key order."""
-        return [(key, self.terms[key]) for key in sorted(self.terms)]
-
-    def coefficient(self, indices) -> Scalar:
-        key, sign = _normalise(indices)
-        if key is None:
-            return ZERO
-        value = self.terms.get(key, ZERO)
-        return value if sign > 0 else -value
 
     def _require_same_shape(self, other: "ExteriorForm") -> None:
         if self.dim != other.dim:
@@ -197,35 +155,8 @@ def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
     return ExteriorForm(a.dim, degree, terms)
 
 
-def interior_product(x, w: ExteriorForm) -> ExteriorForm:
-    """Contraction of w with the coefficient vector x in the first slot."""
-    if w.degree == 0:
-        raise DegreeZero("cannot contract a degree-0 form")
-    xs = [Scalar.coerce(v) for v in x]
-    if len(xs) != w.dim:
-        raise DimensionMismatch(
-            f"vector of length {len(xs)} against a form on dimension {w.dim}"
-        )
-    terms: dict[tuple[int, ...], Scalar] = {}
-    for key, value in w.terms.items():
-        for position, index in enumerate(key):
-            factor = xs[index]
-            if not factor:
-                continue
-            reduced = key[:position] + key[position + 1 :]
-            contrib = factor * value
-            if position % 2:
-                contrib = -contrib
-            total = terms.get(reduced, ZERO) + contrib
-            if total:
-                terms[reduced] = total
-            elif reduced in terms:
-                del terms[reduced]
-    return ExteriorForm(w.dim, w.degree - 1, terms)
-
-
 def contract_basis(w: ExteriorForm, index: int) -> ExteriorForm:
-    """Contraction with the basis vector e_index (fast path)."""
+    """Contraction of w with the basis vector e_index in the first slot."""
     if w.degree == 0:
         raise DegreeZero("cannot contract a degree-0 form")
     terms: dict[tuple[int, ...], Scalar] = {}

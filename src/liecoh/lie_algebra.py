@@ -43,15 +43,12 @@ from .scalars import ONE, ZERO, Scalar, scalar_from_json, scalar_to_json
 
 __all__ = [
     "LieAlgebra",
-    "from_structure_constants",
-    "bracket",
     "aff_r",
     "abelian",
     "heisenberg",
     "diamond",
     "diamond_algebra",
     "direct_sum",
-    "derived_ideal_dim",
     "change_basis",
     "algebra_to_json",
     "algebra_from_json",
@@ -112,17 +109,6 @@ class LieAlgebra:
                 )
         self.labels = labels
         self._check_jacobi()
-
-    def bracket_basis(self, i: int, j: int) -> dict[int, Scalar]:
-        """Sparse coefficient vector of [e_i, e_j] for any index order."""
-        if not (0 <= i < self.dim and 0 <= j < self.dim):
-            raise IndexOutOfRange(f"basis index out of range in ({i}, {j})")
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.brackets.get((i, j), {}))
-        flipped = self.brackets.get((j, i), {})
-        return {l: -c for l, c in flipped.items()}
 
     def bracket_vectors(self, x, y) -> list[Scalar]:
         """[x, y] for coefficient vectors x, y; returns a dense vector."""
@@ -217,34 +203,6 @@ def _indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def from_structure_constants(dim: int, brackets, labels=None) -> LieAlgebra:
-    """Build an algebra from a list of (i, j, coefficient-vector) triples.
-
-    Coefficient vectors are dense sequences of length ``dim``.  Raises
-    IndexOutOfRange / DuplicatePair / DimensionMismatch on malformed
-    input and JacobiViolation when the constants do not define a Lie
-    algebra.
-    """
-    table: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for i, j, vector in brackets:
-        if not (0 <= i < j < dim):
-            raise IndexOutOfRange(f"bracket pair ({i}, {j}) needs 0 <= i < j < {dim}")
-        if (i, j) in table:
-            raise DuplicatePair(f"bracket pair ({i}, {j}) supplied twice")
-        values = list(vector)
-        if len(values) != dim:
-            raise DimensionMismatch(
-                f"coefficient vector for ({i}, {j}) has length {len(values)}, expected {dim}"
-            )
-        table[(i, j)] = {l: Scalar.coerce(v) for l, v in enumerate(values)}
-    return LieAlgebra(dim, table, labels=labels)
-
-
-def bracket(algebra: LieAlgebra, x, y) -> list[Scalar]:
-    """[x, y] in the given algebra, for dense coefficient vectors."""
-    return algebra.bracket_vectors(x, y)
-
-
 def aff_r() -> LieAlgebra:
     """The affine line: span{X, Y} with [X, Y] = Y."""
     return LieAlgebra(2, {(0, 1): {1: ONE}}, labels=("X", "Y"))
@@ -324,13 +282,6 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
             b.label(i) for i in range(b.dim)
         )
     return LieAlgebra(a.dim + b.dim, table, labels=labels)
-
-
-def derived_ideal_dim(algebra: LieAlgebra) -> int:
-    """Dimension of [g, g], the span of all basis brackets."""
-    return linalg.rank_gaussian(
-        linalg.gaussian_row(vector, algebra.dim) for vector in algebra.brackets.values()
-    )
 
 
 def change_basis(algebra: LieAlgebra, matrix) -> LieAlgebra:

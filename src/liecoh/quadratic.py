@@ -54,10 +54,6 @@ class QuadraticStructure:
         self.sharp = sharp
         self._three_form = None
 
-    def gram(self, i: int, j: int) -> Scalar:
-        """B(Y_i, Y_j) for the metric-dual basis."""
-        return self.sharp[i][j]
-
     def three_form(self) -> ExteriorForm:
         if self._three_form is None:
             self._three_form = associated_three_form(self)

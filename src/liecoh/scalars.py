@@ -16,7 +16,7 @@ from __future__ import annotations
 import re as _re
 from fractions import Fraction
 
-__all__ = ["Scalar", "parse_scalar", "ZERO", "ONE", "MINUS_ONE", "I"]
+__all__ = ["Scalar", "parse_scalar", "ZERO", "ONE"]
 
 
 def _as_fraction(value) -> Fraction:
@@ -115,9 +115,6 @@ class Scalar:
             return Scalar(other) / self
         return NotImplemented
 
-    def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
-
     def __str__(self) -> str:
         if not self.im:
             return str(self.re)
@@ -214,5 +211,3 @@ def scalar_from_json(data) -> Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-MINUS_ONE = Scalar(-1)
-I = Scalar(0, 1)

@@ -24,7 +24,7 @@ from liecoh.linalg import gaussian_row
 from liecoh.scalars import ONE, ZERO, Scalar
 
 
-def _eval_monomial(key, l, ms):
+def eval_monomial(key, l, ms):
     # value of the dual monomial `key` on the tuple (e_l, e_{ms[0]}, ...),
     # up to the permutation sign needed to sort l into place
     if l in ms:
@@ -44,19 +44,33 @@ def oracle_coboundary(g: LieAlgebra, w: ExteriorForm) -> ExteriorForm:
         value = ZERO
         for a in range(k + 1):
             for b in range(a + 1, k + 1):
-                vec = g.bracket_basis(J[a], J[b])
+                vec = g.brackets.get((J[a], J[b]), {})
                 if not vec:
                     continue
                 ms = tuple(x for t, x in enumerate(J) if t not in (a, b))
                 outer = -1 if (a + b) % 2 else 1
                 for key, coeff in w.terms.items():
                     for l, c in vec.items():
-                        s = _eval_monomial(key, l, ms)
+                        s = eval_monomial(key, l, ms)
                         if s:
                             value = value + coeff * c * (outer * s)
         if value:
             result[J] = value
     return ExteriorForm(n, k + 1, result)
+
+
+def kunneth(a, b):
+    """The Betti vector of a direct sum from its factors' vectors, by the
+    Kunneth formula c_k = sum_i a_i b_{k-i}."""
+    return tuple(
+        sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+        for k in range(len(a) + len(b) - 1)
+    )
+
+
+def covector(dim, index):
+    """The dual basis one-form e_index*."""
+    return ExteriorForm(dim, 1, {(index,): ONE})
 
 
 def random_scalar(rng, allow_zero=True, complex_rate=0.25):

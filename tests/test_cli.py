@@ -269,6 +269,24 @@ def test_verify_sweep_stops_at_the_first_wrong_closed_form(capsys, monkeypatch, 
     assert (code, out, err) == (1, "".join(VERIFY_SUMMARIES[:passed]) + line + "\n", "")
 
 
+def test_verify_ranks_only_the_degrees_each_case_compares(capsys, monkeypatch):
+    # a diamond case compares b_2 = C(n, 2) - r_1 - r_2, so it assembles d_1
+    # and d_2 of the full complex and nothing else; the other groups compare
+    # every degree and never assemble d_n, which has no rows
+    assembled = []
+    real = liecoh.cli.cochain.coboundary_matrix
+
+    def spy(algebra, k, *rest):
+        assembled.append((algebra.labels[0] == "X0", algebra.dim, k))
+        return real(algebra, k, *rest)
+
+    monkeypatch.setattr(liecoh.cli.cochain, "coboundary_matrix", spy)
+    shown = {tuple(argv): text for argv, text in README_EXAMPLES}
+    assert run(capsys, "verify", "--seed", "5") == (0, shown[("verify", "--seed", "5")], "")
+    assert [k for diamond, _, k in assembled if diamond] == [1, 2] * 25
+    assert all(k < n for _, n, k in assembled)
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_verify_ignores_the_format(capsys, fmt):
     shown = {tuple(argv): text for argv, text in README_EXAMPLES}

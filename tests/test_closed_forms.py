@@ -12,13 +12,14 @@ from liecoh.closed_forms import (
     binom,
     diamond_b2,
     diamond_b2_general,
-    kunneth_convolution,
     lambda_classes,
 )
 from liecoh.cochain import BettiProfile, betti, betti_profile
 from liecoh.errors import ZeroLambda
 from liecoh.lie_algebra import abelian, aff_r, diamond, diamond_algebra, direct_sum, heisenberg
 from liecoh.scalars import Scalar
+
+from helpers import kunneth
 
 
 def test_binom_edges():
@@ -113,33 +114,35 @@ def test_heisenberg_ext_matches_engine():
 
 
 def test_kunneth_examples():
-    out = kunneth_convolution((1, 2, 2, 1), (1, 2, 1))
-    assert out.b == (1, 4, 7, 7, 4, 1)
-    assert isinstance(out, BettiProfile)
-    # the one-point profile is the identity
-    assert kunneth_convolution((1, 2, 2, 1), (1,)).b == (1, 2, 2, 1)
-    # binomial profiles convolve to binomial profiles
+    # h_3 + a_2, h_3 + a_0 (the one-point profile is the identity) and
+    # a_p + a_q, whose binomial rows convolve to a binomial row
+    h = heisenberg(1)
+    assert kunneth((1, 2, 2, 1), (1, 2, 1)) == (1, 4, 7, 7, 4, 1)
+    assert betti_profile(direct_sum(h, abelian(2))).b == (1, 4, 7, 7, 4, 1)
+    assert kunneth((1, 2, 2, 1), (1,)) == (1, 2, 2, 1)
+    assert betti_profile(direct_sum(h, abelian(0))).b == (1, 2, 2, 1)
     for p in range(4):
         for q in range(4):
             left = tuple(comb(p, k) for k in range(p + 1))
             right = tuple(comb(q, k) for k in range(q + 1))
             expected = tuple(comb(p + q, k) for k in range(p + q + 1))
-            assert kunneth_convolution(left, right).b == expected
+            assert kunneth(left, right) == expected
+            assert betti_profile(direct_sum(abelian(p), abelian(q))).b == expected
 
 
 def test_kunneth_commutative_associative():
+    # the engine's profiles of a + b, b + a, (a + b) + c and a + (b + c)
+    # against the convolution of the factors' profiles in either order
     rng = random.Random(42)
-    profiles = [
-        betti_profile(g).b
-        for g in (aff_r(), heisenberg(1), abelian(2), diamond([1])[0])
-    ]
+    factors = [aff_r(), heisenberg(1), abelian(2), diamond([1])[0]]
     for _ in range(10):
-        a, b, c = rng.choice(profiles), rng.choice(profiles), rng.choice(profiles)
-        assert kunneth_convolution(a, b).b == kunneth_convolution(b, a).b
-        assert (
-            kunneth_convolution(kunneth_convolution(a, b), c).b
-            == kunneth_convolution(a, kunneth_convolution(b, c)).b
-        )
+        a, b, c = rng.choice(factors), rng.choice(factors), rng.choice(factors)
+        va, vb, vc = (betti_profile(g).b for g in (a, b, c))
+        assert betti_profile(direct_sum(a, b)).b == kunneth(va, vb) == kunneth(vb, va)
+        assert betti_profile(direct_sum(b, a)).b == kunneth(va, vb)
+        left = betti_profile(direct_sum(direct_sum(a, b), c)).b
+        right = betti_profile(direct_sum(a, direct_sum(b, c))).b
+        assert left == right == kunneth(kunneth(va, vb), vc) == kunneth(va, kunneth(vb, vc))
 
 
 def test_kunneth_matches_direct_sum():
@@ -150,7 +153,9 @@ def test_kunneth_matches_direct_sum():
     ]
     for a, b in pairs:
         expected = betti_profile(direct_sum(a, b))
-        assert kunneth_convolution(betti_profile(a), betti_profile(b)) == expected
+        convolved = kunneth(betti_profile(a).b, betti_profile(b).b)
+        assert convolved == expected.b
+        assert BettiProfile.from_betti(a.dim + b.dim, convolved) == expected
 
 
 def test_lambda_classes_basic():

@@ -21,18 +21,19 @@ from liecoh.cochain import (
 from liecoh.errors import DegreeOutOfRange, DimensionMismatch
 from liecoh.exterior import ExteriorForm, basis, wedge
 from liecoh.lie_algebra import (
+    LieAlgebra,
     abelian,
     aff_r,
     change_basis,
     diamond,
     direct_sum,
-    from_structure_constants,
     heisenberg,
 )
 from liecoh.linalg import SpanBuilder, gaussian_row, kernel_basis
 from liecoh.scalars import ONE, ZERO, Scalar
 
 from helpers import (
+    covector,
     oracle_coboundary,
     random_algebra,
     random_form,
@@ -44,8 +45,8 @@ from helpers import (
 def test_aff_coboundary_of_dual_basis():
     g = aff_r()
     # [X, Y] = Y, so d Y* = -X* ^ Y* and d X* = 0
-    dx = apply_coboundary(g, ExteriorForm.covector(2, 0))
-    dy = apply_coboundary(g, ExteriorForm.covector(2, 1))
+    dx = apply_coboundary(g, covector(2, 0))
+    dy = apply_coboundary(g, covector(2, 1))
     assert dx.is_zero()
     assert dy.terms == {(0, 1): -ONE}
 
@@ -60,14 +61,7 @@ def test_heisenberg_matrix_golden():
 
 def test_complex_matrix_export():
     i = Scalar(0, 1)
-    g = from_structure_constants(
-        3,
-        [
-            (0, 1, (ZERO, ZERO, i)),
-            (1, 2, (i, ZERO, ZERO)),
-            (0, 2, (ZERO, -i, ZERO)),
-        ],
-    )
+    g = LieAlgebra(3, {(0, 1): {2: i}, (1, 2): {0: i}, (0, 2): {1: -i}})
     text = coboundary_matrix(g, 1).to_coordinate_text()
     assert text == "% 1 3 3\n0 2 -i\n1 1 i\n2 0 -i\n"
 
@@ -250,13 +244,10 @@ def test_coboundary_basis_is_d_of_the_first_independent_monomials(make, seed):
 def test_denominator_clears_every_structure_constant():
     # [e0, e1] = (1/3 + 2/3 i) e2 and [e0, e2] = -25/16 e2, so D = 48 and
     # d e2* = -(1/3 + 2/3 i) e0* ^ e1* + 25/16 e0* ^ e2*
-    g = from_structure_constants(
-        3,
-        [
-            (0, 1, (ZERO, ZERO, Scalar(Fraction(1, 3), Fraction(2, 3)))),
-            (0, 2, (ZERO, ZERO, Scalar(Fraction(-25, 16)))),
-        ],
-    )
+    g = LieAlgebra(3, {
+        (0, 1): {2: Scalar(Fraction(1, 3), Fraction(2, 3))},
+        (0, 2): {2: Scalar(Fraction(-25, 16))},
+    })
     matrix = coboundary_matrix(g, 1)
     assert matrix.denominator == 48
     # rows keyed by target bitmask: e0*^e1* is 0b011, e0*^e2* is 0b101
@@ -344,17 +335,17 @@ def test_betti_single_degree_agrees_with_profile():
 
 def test_profile_reconstruction_round_trips():
     p = betti_profile(heisenberg(2))
-    assert BettiProfile.from_ranks(p.n, p.ranks) == p
+    assert BettiProfile(p.n, p.ranks) == p
     assert BettiProfile.from_betti(p.n, p.b) == p
 
 
 def test_profile_invariants_enforced():
     with pytest.raises(DimensionMismatch):
-        BettiProfile.from_ranks(2, (0, 2, 1))  # top rank must be 0
+        BettiProfile(2, (0, 2, 1))  # top rank must be 0
     with pytest.raises(DimensionMismatch):
-        BettiProfile.from_ranks(2, (1, 0, 0))  # forces b_0 = 0
+        BettiProfile(2, (1, 0, 0))  # forces b_0 = 0
     with pytest.raises(DimensionMismatch):
-        BettiProfile.from_ranks(2, (0, 2, 0))  # forces b_1 < 0
+        BettiProfile(2, (0, 2, 0))  # forces b_1 < 0
     with pytest.raises(DimensionMismatch):
         BettiProfile.from_betti(2, (1, 0))  # wrong length
 
@@ -469,7 +460,7 @@ def _interleaved_sum(rng, summands):
 def _two_weights(u, v):
     # [X, Y_1] = u Y_1, [X, Y_2] = v Y_2: a two-dimensional derived ideal,
     # and not unimodular unless u + v = 0
-    return from_structure_constants(3, [(0, 1, (0, u, 0)), (0, 2, (0, 0, v))])
+    return LieAlgebra(3, {(0, 1): {1: u}, (0, 2): {2: v}})
 
 
 def _graded_filiform(u, v):
@@ -477,11 +468,10 @@ def _graded_filiform(u, v):
     # ad(x) diagonal with weights u, v, u + v, 2u + v on e_0..e_3: the
     # brackets of m0(4) are not multiples of one vector, so no route
     # takes it; unimodular when 4u + 3v = 0
-    return from_structure_constants(5, [
-        (0, 1, (0, u, 0, 0, 0)), (0, 2, (0, 0, v, 0, 0)),
-        (0, 3, (0, 0, 0, u + v, 0)), (0, 4, (0, 0, 0, 0, 2 * u + v)),
-        (1, 2, (0, 0, 0, 1, 0)), (1, 3, (0, 0, 0, 0, 1)),
-    ])
+    return LieAlgebra(5, {
+        (0, 1): {1: u}, (0, 2): {2: v}, (0, 3): {3: u + v}, (0, 4): {4: 2 * u + v},
+        (1, 2): {3: 1}, (1, 3): {4: 1},
+    })
 
 
 def _reduction_cases(seed):
@@ -534,13 +524,16 @@ def _representatives_of_the_full_complex(g, k):
     ]
 
 
+def _full_complex_profile(g):
+    # every d_k of the whole complex eliminated: the reference route
+    return BettiProfile(g.dim, tuple(rank_exact(coboundary_matrix(g, k)) for k in range(g.dim + 1)))
+
+
 @pytest.mark.parametrize("seed", [91, 92])
 def test_reduced_route_matches_the_full_complex(seed):
     for g in _reduction_cases(seed):
         n = g.dim
-        full = BettiProfile.from_ranks(
-            n, [rank_exact(coboundary_matrix(g, k)) for k in range(n + 1)]
-        )
+        full = _full_complex_profile(g)
         assert betti_profile(g) == full
         for k in range(n + 1):
             assert betti(g, k) == full.b[k]
@@ -618,7 +611,7 @@ def test_reduction_follows_the_structure_it_finds(monkeypatch):
     # derived ideal, and the abelian summand is binomials: no matrix at all
     h = direct_sum(heisenberg(3), abelian(5))
     assert _assembled(monkeypatch, h) == []
-    h = direct_sum(aff_r(), from_structure_constants(2, [(0, 1, (ZERO, -ONE))]))
+    h = direct_sum(aff_r(), LieAlgebra(2, {(0, 1): {1: -ONE}}))
     assert _assembled(monkeypatch, h) == []
 
 
@@ -640,9 +633,7 @@ def _near_miss_cases(rng):
     # [e2, e3] = e4 + 2 e5, which agree at index 4, z's first, and differ
     # at index 5; under a monomial change of basis they stay proportional
     # at z's first index only
-    split = from_structure_constants(
-        6, [(0, 1, (0, 0, 0, 0, 1, 1)), (2, 3, (0, 0, 0, 0, 1, 2))]
-    )
+    split = LieAlgebra(6, {(0, 1): {4: 1, 5: 1}, (2, 3): {4: 1, 5: 2}})
     return [_dense_image(rng, direct_sum(heisenberg(1), aff_r())), split,
             _monomial_image(rng, split)]
 
@@ -653,9 +644,7 @@ def test_line_factors_match_the_full_complex(seed, monkeypatch):
     lines, near_misses = _line_cases(rng), _near_miss_cases(rng)
     for g in lines + near_misses:
         n = g.dim
-        full = BettiProfile.from_ranks(
-            n, [rank_exact(coboundary_matrix(g, k)) for k in range(n + 1)]
-        )
+        full = _full_complex_profile(g)
         assert betti_profile(g) == full
         assert [betti(g, k) for k in range(n + 1)] == list(full.b)
     for g in lines:
@@ -672,14 +661,11 @@ def _graded_heisenberg(x_weights):
     dim = r + 2 * m + 1
     z = r
 
-    def unit(q, c=1):
-        return tuple(c if i == q else 0 for i in range(dim))
-
-    brackets = [(z + 1 + i, z + 1 + m + i, unit(z)) for i in range(m)]
+    brackets = {(z + 1 + i, z + 1 + m + i): {z: 1} for i in range(m)}
     for p, ws in enumerate(x_weights):
-        brackets.append((p, z, unit(z, ws[0] + ws[m])))
-        brackets += [(p, z + 1 + i, unit(z + 1 + i, w)) for i, w in enumerate(ws) if w]
-    return from_structure_constants(dim, brackets)
+        brackets[(p, z)] = {z: ws[0] + ws[m]}
+        brackets.update({(p, z + 1 + i): {z + 1 + i: w} for i, w in enumerate(ws)})
+    return LieAlgebra(dim, brackets)
 
 
 def _torus_cases(rng):
@@ -694,8 +680,7 @@ def _torus_cases(rng):
         diamond([a, a, -a, ZERO])[0],
         diamond([b, -b, c, c])[0],
         # x + a_3
-        from_structure_constants(4, [(0, 1, (0, b, 0, 0)), (0, 2, (0, 0, -b, 0)),
-                                     (0, 3, (0, 0, 0, a))]),
+        LieAlgebra(4, {(0, 1): {1: b}, (0, 2): {2: -b}, (0, 3): {3: a}}),
         # x + h_5 with [x, z] = 2z, so z has a nonzero weight
         _graded_heisenberg([[u, 1, 2 - u, 1]]),
         # a two-dimensional t on h_5
@@ -709,14 +694,13 @@ def _torus_near_misses(rng):
     # [e, f] lands on the diagonal index h, so n is no ideal, although
     # omega is nondegenerate on e, f; t + (h_3 + a_1) has a degenerate
     # omega; a dense image of a diamond has no diagonal ad
-    sl2 = from_structure_constants(5, [
-        (0, 2, (0, 0, 2, 0, 0)), (0, 3, (0, 0, 0, -2, 0)), (2, 3, (1, 0, 0, 0, 0)),
-        (1, 2, (0, 0, 1, 0, 0)), (1, 3, (0, 0, 0, -1, 0)), (1, 4, (0, 0, 0, 0, 1)),
-    ])
-    degenerate = from_structure_constants(5, [
-        (0, 1, (0, 1, 0, 0, 0)), (0, 2, (0, 0, 2, 0, 0)), (0, 3, (0, 0, 0, -1, 0)),
-        (0, 4, (0, 0, 0, 0, -1)), (2, 3, (0, 1, 0, 0, 0)),
-    ])
+    sl2 = LieAlgebra(5, {
+        (0, 2): {2: 2}, (0, 3): {3: -2}, (2, 3): {0: 1},
+        (1, 2): {2: 1}, (1, 3): {3: -1}, (1, 4): {4: 1},
+    })
+    degenerate = LieAlgebra(5, {
+        (0, 1): {1: 1}, (0, 2): {2: 2}, (0, 3): {3: -1}, (0, 4): {4: -1}, (2, 3): {1: 1},
+    })
     lam = random_scalar(rng, allow_zero=False, complex_rate=0.7)
     return [sl2, _monomial_image(rng, sl2), degenerate, _monomial_image(rng, degenerate),
             _dense_image(rng, diamond([lam, -lam])[0])]
@@ -728,9 +712,7 @@ def test_torus_factors_match_the_full_complex(seed, monkeypatch):
     routed, near_misses = _torus_cases(rng), _torus_near_misses(rng)
     for g in routed + near_misses:
         n = g.dim
-        full = BettiProfile.from_ranks(
-            n, [rank_exact(coboundary_matrix(g, k)) for k in range(n + 1)]
-        )
+        full = _full_complex_profile(g)
         assert betti_profile(g) == full
         assert [betti(g, k) for k in range(n + 1)] == list(full.b)
     for g in routed:
@@ -771,10 +753,7 @@ def test_equal_unit_weights_match_the_full_complex(seed):
     seeded = [[rng.choice(units) for _ in range(rng.randint(3, 5))] for _ in range(3)]
     for lam in fixed + seeded:
         g, _ = diamond(lam)
-        n = g.dim
-        full = BettiProfile.from_ranks(
-            n, [rank_exact(coboundary_matrix(g, k)) for k in range(n + 1)]
-        )
+        full = _full_complex_profile(g)
         assert betti_profile(g) == full
         if lam in fixed:
             assert full.b == (1, 1, 9, 9, 8, 16, 8, 9, 9, 1, 1)
