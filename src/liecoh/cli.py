@@ -182,8 +182,13 @@ def _middle_degree(n: int) -> list[int]:
 
 
 def _names_for(algebra: lie_algebra.LieAlgebra) -> list[str]:
-    if algebra.labels is not None and len(set(algebra.labels)) == algebra.dim:
-        return list(algebra.labels)
+    # parse_form reads a form back only when its names are distinct and
+    # none holds a space, sign or caret or starts with a digit
+    labels = algebra.labels
+    if labels is not None and len(set(labels)) == algebra.dim and all(
+        name.isidentifier() for name in labels
+    ):
+        return list(labels)
     return exterior.default_names(algebra.dim)
 
 

@@ -54,48 +54,44 @@ formula H*(g + h) = H*(g) (x) H*(h) the Betti vector is the convolution
 of the factors' vectors, and the abelian factor of dimension a gives
 the binomials C(a, k) with no matrix.
 
-A factor whose brackets are all multiples of one vector z has a
-one-dimensional derived ideal: it is in the class MD(n, 1) whose
-cohomology the paper describes, and in a suitable basis it is
-aff + a_{d-2} or h_{2m+1} + a_{d-2m-1}.  When z is not central some
-[x, z] = z, the factor is aff + a_{d-2}, and its Betti numbers are
-C(d-1, k).  When z is central, [e_a, e_b] = omega_ab z defines an
-alternating form of rank 2m, the factor is h_{2m+1} + a_{d-2m-1}, and
-its vector convolves the abelian binomials with Santharoubane's
-b_k = C(2m, k) - C(2m, k-2) for k <= m, mirrored above (Proc. AMS 87,
-1983).  The test reads the factor's integer bracket table once,
-cross-multiplying Gaussian integers, and takes one rank of omega; it
-works in any basis and builds no matrix of d.
-
-A factor whose indices with diagonal ad(e_p), P, span t and whose other
-indices span an ideal n (no bracket has a term on P) is t + n, with t
-abelian and acting diagonally.  Then H*(g) = Lambda(t*) (x) H*(n)^t
-(Hochschild-Serre): d vanishes on t*, and on the weight-0 cochains it
-is d of n.  So b = C(|P|, .) convolved with c, c_k = dim H^k(n)^t, the
-weight-0 part of H^k(n).  Let N_j(nu) count the j-subsets of V whose
-weights sum to nu.  When n is abelian, V is its weights and
-c_k = N_k(0).  When every bracket of n is omega_ab z with z central and
-omega of rank |n| - 1, n is h_{2m+1}, V is n's weights less one copy of
+Each factor then splits off its torus t, spanned by the indices p with
+ad(e_p) diagonal.  When no bracket has a term on t, the other indices
+span an ideal n, and H*(g) = Lambda(t*) (x) H*(n)^t (Hochschild-Serre):
+on a weight-0 cochain w of n, i_x w = 0 and L_x w = 0 for x in t, so dw
+has no t* term and d is d of n.  So t joins the abelian binomials, and
+c_k = dim H^k(n)^t is taken on n alone; with no such t, n is the whole
+factor.  Let N_j(nu) count the j-subsets of a list V of weights that sum
+to nu.  With no bracket, V is n's weights and c_k = N_k(0).  When every
+bracket is omega_ab z for one vector z and n has no weight, n is in the
+paper's class MD(n, 1), aff + a_{d-2} or h_{2m+1} + a_{d-2m-1} in a
+suitable basis: c_k = C(d-1, k) when z is not central, and otherwise,
+2m being the rank of omega, the abelian binomials convolved with
+Santharoubane's b_k = C(2m, k) - C(2m, k-2) for k <= m, mirrored above
+(Proc. AMS 87, 1983).  The weights must be zero there: x + n with
+[x, q] = 2q, [x, z] = 2z and [a, q] = [a, z] = z has b = (1, 2, 1, 0, 0),
+not C(1, .) * C(2, .).  When z is central, omega has rank |n| - 1 and
+weights are present, n is h_{2m+1}, V is n's weights less one copy of
 z's weight mu_z, and Santharoubane's description is equivariant: H^k(n)
 is the cokernel of omega ^ : Lambda^{k-2} V* -> Lambda^k V* for k <= m
 and the kernel of omega ^ : Lambda^{k-1} V* -> Lambda^{k+1} V*, wedged
-with z*, above.
-omega ^ shifts weights by mu_z and is injective up to the middle and
-onto above it, so
+with z*, above.  omega ^ shifts weights by mu_z and is injective up to
+the middle and onto above it, so
 
     c_k = N_k(0) - N_{k-2}(-mu_z)       for k <= m
     c_k = N_{k-1}(-mu_z) - N_{k+1}(0)   for k > m.
 
-The counts come from tables of the two halves of V by size and packed
-weight, met at the two targets: no subset is formed and no matrix
-built.  A diamond algebra with r nonzero parameters is Y_0 + h_{2r+1}
-beside an abelian factor, with z = X_0 of weight 0 and V the weights
-+-lam_i; at k = 2, c_1 = 0 and b_2 = N_2(0) - 1, which is sum n_j^2 - 1
-over the classes of parameters equal up to sign, the paper's count.
-
-Each other factor goes through the weight-0 complex above on its own
-indices, mirrored when that factor is unimodular; for b_k a factor of
-dimension d is needed only in degrees k - (n - d) to min(k, d).
+The bracket test reads the integer table once, cross-multiplying
+Gaussian integers, and takes one rank of omega, in any basis; the counts
+form no subset and build no matrix.  A diamond algebra with r nonzero
+parameters is Y_0 + h_{2r+1} beside an abelian factor, with z = X_0 of
+weight 0 and V the weights +-lam_i; at k = 2, c_1 = 0 and
+b_2 = N_2(0) - 1, which is sum n_j^2 - 1 over the classes of parameters
+equal up to sign, the paper's count.  Any other n goes through the
+weight-0 complex above on its own indices, mirrored when the whole
+factor is unimodular: then n is, and its weights sum to 0.  For b_k an
+n of dimension d is needed only in degrees k - (n - d) to min(k, d),
+since the rest of the algebra spans n - d dimensions; below them its
+vector is padded with zeros.
 ``cohomology_representatives`` keeps the whole algebra: Kunneth
 representatives would be wedge products of the factors' forms, not the
 forms it returns.
@@ -480,9 +476,9 @@ def _convolve(a, b, top: int | None = None) -> list[int]:
 def _reduced_betti(
     algebra: LieAlgebra, indices, weights: dict[int, int], unimodular: bool, degrees
 ) -> list[int]:
-    """b_k for each k in ``degrees`` of the factor spanned by ``indices``,
-    from the ranks of d on its weight-0 cochains, halved by duality when
-    the factor is unimodular."""
+    """c_k for each k in ``degrees`` of the n spanned by ``indices``, from
+    the ranks of d on its weight-0 cochains, halved by duality when
+    ``unimodular``."""
     n = len(indices)
     if unimodular:
         degrees = [min(k, n - k) for k in degrees]
@@ -539,22 +535,6 @@ def _bracket_form(brackets: dict[int, dict[int, tuple[int, int]]]):
     return z, omega, True
 
 
-def _line_betti(brackets, d: int) -> list[int] | None:
-    """The whole Betti vector of a factor of dimension d with these
-    ``brackets`` when they are all multiples of one vector z, else None."""
-    form = _bracket_form(brackets)
-    if form is None:
-        return None
-    _, omega, central = form
-    if not central:
-        # some [e_a, z] != 0: aff + a_{d-2}
-        return [comb(d - 1, k) for k in range(d + 1)]
-    # h_{2m+1} + a_{d-2m-1}
-    m = linalg.rank_gaussian(omega.values()) // 2
-    low = [comb(2 * m, k) - (comb(2 * m, k - 2) if k >= 2 else 0) for k in range(m + 1)]
-    return _convolve(low + low[::-1], [comb(d - 2 * m - 1, j) for j in range(d - 2 * m)])
-
-
 def _subset_counts(values, top: int) -> dict[tuple[int, int], int]:
     """The number of sub-multisets of ``values`` of each size up to
     ``top`` and each sum, keyed by (size, sum), built one distinct value
@@ -569,50 +549,44 @@ def _subset_counts(values, top: int) -> dict[tuple[int, int], int]:
     return counts
 
 
-def _torus_betti(brackets, block, weights: dict[int, int], diagonal: set[int], top: int):
-    """b_0..b_top of the factor spanned by ``block`` when it is t + n
-    with t spanned by its diagonal indices and n an abelian or
-    Heisenberg ideal, else None.
+def _counted_betti(brackets, ideal, weights: dict[int, int], top: int) -> list[int] | None:
+    """c_0..c_top of the n spanned by ``ideal`` with these ``brackets``
+    when the module docstring counts it with no matrix, else None.
 
-    With V the weights of n, one copy of z's weight mu_z taken out when
-    n is h_{2m+1}, a table of the subsets of V by size and packed weight
-    gives N_j(nu), the number of j-subsets of weight nu; c_k is N_k(0)
-    for abelian n and Santharoubane's primitive count otherwise, and the
-    vector is C(|t|, .) convolved with c.  c_k reads N_j for j <= k + 1
-    only, so no subset of more than top + 1 weights is counted.
+    N_j(nu) meets tables of the two halves of V by size and packed
+    weight.  c_k reads N_j for j <= k + 1, and N_{top+1} only when
+    top > m, where each half of V holds at most m <= top weights; so no
+    table holds a subset of more than ``top`` weights.
     """
-    torus = diagonal.intersection(block)
-    if not torus:
-        return None
-    mask = sum(1 << p for p in torus)
-    inner = {}
-    for pair, v in brackets.items():
-        if not torus.isdisjoint(v):
-            # a bracket with a term on t: n is not an ideal
-            return None
-        if not pair & mask:
-            inner[pair] = v
-    ideal = [q for q in block if q not in torus]
     values = [weights.get(q, 0) for q in ideal]
-    if inner:
-        form = _bracket_form(inner)
-        if form is None or not form[2]:
+    d = len(ideal)
+    if brackets:
+        form = _bracket_form(brackets)
+        if form is None:
             return None
-        z, omega, _ = form
-        # n is h_{2m+1} when omega is nondegenerate on n / z
-        if linalg.rank_gaussian(omega.values()) != len(ideal) - 1:
+        z, omega, central = form
+        if not central:
+            # aff + a_{d-2}
+            return None if any(values) else [comb(d - 1, k) for k in range(d + 1)]
+        rank = linalg.rank_gaussian(omega.values())
+        if not any(values):
+            # h_{2m+1} + a_{d-2m-1}
+            m = rank // 2
+            low = [comb(2 * m, k) - (comb(2 * m, k - 2) if k >= 2 else 0) for k in range(m + 1)]
+            return _convolve(low + low[::-1], [comb(d - 2 * m - 1, j) for j in range(d - 2 * m)])
+        if rank != d - 1:
             return None
-        m = len(ideal) // 2
+        m = d // 2
         mu_z = weights.get(next(iter(z)), 0)
         values.remove(mu_z)
-    # count(nu)[j] = N_j(nu), met through tables of the two halves of V
     size = len(values)
-    lower = _subset_counts(values[: size // 2], top + 1)
+    lower = _subset_counts(values[: size // 2], top)
     upper: dict[int, list[tuple[int, int]]] = {}
-    for (j, w), c in _subset_counts(values[size // 2 :], top + 1).items():
+    for (j, w), c in _subset_counts(values[size // 2 :], top).items():
         upper.setdefault(w, []).append((j, c))
 
     def count(nu: int) -> list[int]:
+        # count(nu)[j] = N_j(nu)
         out = [0] * (top + 2)
         for (i, w), c in lower.items():
             for j, e in upper.get(nu - w, ()):
@@ -621,54 +595,48 @@ def _torus_betti(brackets, block, weights: dict[int, int], diagonal: set[int], t
         return out
 
     c = count(0)
-    if inner:
+    if brackets:
         # N_k(0) - N_{k-2}(-mu_z) is c_k up to the middle and -c_{k-1} above it
         above = [0, 0] + count(-mu_z)
         primitive = [x - y for x, y in zip(c, above)]
         c = [primitive[k] if k <= m else -primitive[k + 1] for k in range(min(size + 2, top + 1))]
-    return _convolve([comb(len(torus), j) for j in range(len(torus) + 1)], c[: top + 1], top)
+    return c[: top + 1]
 
 
 def _split_betti(algebra: LieAlgebra, low: int, high: int) -> list[int]:
-    """b_low..b_high of the algebra, convolved from its factors.
-
-    A factor whose brackets are all multiples of one vector is in the
-    paper's class MD(n, 1), and ``_line_betti`` gives its whole vector
-    with no matrix: C(d-1, .) for aff + a, Santharoubane's Heisenberg
-    numbers convolved with binomials for h_{2m+1} + a.  A factor t + n,
-    t spanned by its diagonal indices and n an abelian or Heisenberg
-    ideal, has H*(g) = Lambda(t*) (x) H*(n)^t, and ``_torus_betti`` gives its
-    whole vector C(|t|, .) * c from weight counts: c_k = N_k(0) for
-    abelian n, and for n = h_{2m+1} c_k = N_k(0) - N_{k-2}(-mu_z) up to
-    k = m and N_{k-1}(-mu_z) - N_{k+1}(0) above, N_j(nu) the number of
-    j-subsets of weight nu of n's weights less one mu_z.  The paper's
-    b_2 = sum n_j^2 - 1 of a diamond is its k = 2 case.  Every other
-    factor goes through the weight-0 complex.  A factor of dimension d
-    is reduced only in the degrees from low - (n - d) to min(high, d):
-    no other degree of it meets a term of b_low..b_high.  Below them its
-    vector is padded with zeros, which leaves the sums below b_low wrong
-    and unread.
+    """b_low..b_high of the algebra, convolved from its factors as the
+    module docstring describes: each factor's torus joins the abelian
+    binomials, and its n is counted or else eliminated in the degrees
+    low - (n - d) to min(high, d) alone, d being its dimension.  The
+    zeros that pad its vector below them leave the sums below b_low
+    wrong and unread.
     """
     n = algebra.dim
     blocks, free = _blocks(algebra)
     weights, nonzero_trace, diagonal = _weights(algebra)
-    out = [comb(free, j) for j in range(min(high, free) + 1)]
+    out = [1]
     for block in blocks:
         # brackets[pair][l]: the Gaussian integer -D c^l_ab, pair the mask of {a, b}
         brackets: dict[int, dict[int, tuple[int, int]]] = {}
         for l in block:
             for pair, _, re, im in algebra._dual.get(l, ()):
                 brackets.setdefault(pair, {})[l] = (re, im)
-        part = _line_betti(brackets, len(block))
+        ideal = block
+        torus = diagonal.intersection(block)
+        if torus and all(torus.isdisjoint(v) for v in brackets.values()):
+            free += len(torus)
+            ideal = [q for q in block if q not in torus]
+            mask = sum(1 << p for p in torus)
+            brackets = {pair: v for pair, v in brackets.items() if not pair & mask}
+        part = _counted_betti(brackets, ideal, weights, high)
         if part is None:
-            part = _torus_betti(brackets, block, weights, diagonal, high)
-        if part is None:
-            d = len(block)
+            d = len(ideal)
             first = max(0, low - (n - d))
             degrees = range(first, min(high, d) + 1)
             unimodular = nonzero_trace.isdisjoint(block)
-            part = [0] * first + _reduced_betti(algebra, block, weights, unimodular, degrees)
+            part = [0] * first + _reduced_betti(algebra, ideal, weights, unimodular, degrees)
         out = _convolve(out, part, high)
+    out = _convolve(out, [comb(free, j) for j in range(min(high, free) + 1)], high)
     return out[low : high + 1]
 
 

@@ -14,7 +14,9 @@ import liecoh
 from liecoh.cli import DEFAULT_SEED, _build_family, main
 from liecoh.closed_forms import diamond_b2, lambda_classes
 from liecoh.errors import BadInput, UnknownFamily
-from liecoh.lie_algebra import algebra_to_json, heisenberg
+from liecoh.cochain import cohomology_representatives
+from liecoh.exterior import parse_form
+from liecoh.lie_algebra import LieAlgebra, algebra_to_json, heisenberg
 from liecoh.scalars import parse_scalar
 
 
@@ -96,6 +98,22 @@ def test_cocycles_heisenberg_uses_labels(capsys):
     assert code == 0
     assert "b_1 = 2" in out
     assert "[X1]" in out and "[X2]" in out and "[Z]" not in out
+
+
+@pytest.mark.parametrize("labels", [["a^b", "c", "d"], ["x", "2", "y"], ["x", "x", "y"]])
+def test_cocycles_fall_back_to_default_names_that_parse_back(capsys, tmp_path, labels):
+    # h_3 with [e_1, e_2] = e_0: a label holding a caret or starting with a
+    # digit would print e_0^e_1 as "a^b^c" or "x^2", which parse_form reads
+    # as another form or not at all, so such labels give way to e0, e1, e2
+    # as duplicate ones do
+    g = LieAlgebra(3, {(1, 2): {0: 1}}, labels=labels)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(algebra_to_json(g)))
+    code, out, _ = run(capsys, "cocycles", "--input", str(path), "--degree", "2")
+    assert code == 0
+    printed = [line.strip()[1:-1] for line in out.splitlines()[1:]]
+    assert printed == ["e0^e1", "e0^e2"]
+    assert [parse_form(text, 3) for text in printed] == cohomology_representatives(g, 2)
 
 
 def test_export_matrix_golden(capsys):

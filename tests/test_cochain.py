@@ -466,12 +466,50 @@ def _two_weights(u, v):
 def _graded_filiform(u, v):
     # x + m0(4), with [e_0, e_1] = e_2, [e_0, e_2] = e_3 on indices 1..4 and
     # ad(x) diagonal with weights u, v, u + v, 2u + v on e_0..e_3: the
-    # brackets of m0(4) are not multiples of one vector, so no route
-    # takes it; unimodular when 4u + 3v = 0
+    # brackets of m0(4) are not multiples of one vector, so x is split
+    # off and m0(4) alone is eliminated; unimodular when 4u + 3v = 0
     return LieAlgebra(5, {
         (0, 1): {1: u}, (0, 2): {2: v}, (0, 3): {3: u + v}, (0, 4): {4: 2 * u + v},
         (1, 2): {3: 1}, (1, 3): {4: 1},
     })
+
+
+def _graded_filiform_torus(n, gradings, m2=False):
+    # t + m0(n), or t + m2(n): indices 0..r-1 span t, then e_0..e_{n-1} with
+    # [e_0, e_i] = e_{i+1}, and for m2 also [e_1, e_j] = e_{j+2}; x_p grades
+    # e_0 and e_1 by gradings[p] = (u, v), so e_i has weight v + (i - 1) u,
+    # which m2's extra brackets allow only when v = 2u
+    r = len(gradings)
+    brackets = {(r, r + i): {r + i + 1: 1} for i in range(1, n - 1)}
+    if m2:
+        brackets.update({(r + 1, r + j): {r + j + 2: 1} for j in range(2, n - 2)})
+    for p, (u, v) in enumerate(gradings):
+        brackets[(p, r)] = {r: u}
+        brackets.update({(p, r + i): {r + i: v + (i - 1) * u} for i in range(1, n)})
+    return LieAlgebra(r + n, brackets)
+
+
+def _torus_on_eliminated_ideal_cases(rng):
+    # t of dimension 1-3 acting diagonally on graded m0(5..7) and m2(7): n is
+    # neither abelian nor Heisenberg, so it is eliminated on its own.  Each
+    # x_p grades m0(n) by a multiple of one (u, v), unimodular when
+    # u + (n - 1) v + (n - 1)(n - 2) u / 2 = 0, which (1, v) never is; a
+    # third x_p grades it independently.  m2(n)'s weights u, 2u, 3u, ..
+    # never sum to 0
+    def scale():
+        return random_scalar(rng, allow_zero=False, complex_rate=0.5)
+
+    own = []
+    for n, (u, v), r, s in ((5, (4, -7), 1, 3), (6, (5, -11), 2, 1), (7, (3, -8), 3, 2)):
+        scales = [1] + [scale() for _ in range(r - 1)]
+        own.append(_graded_filiform_torus(n, [(c * u, c * v) for c in scales]))
+        w = rng.randint(-4, -1)
+        gradings = [(c, c * w) for c in [1] + [scale() for _ in range(min(s, 2) - 1)]]
+        if s == 3:
+            gradings.append((rng.randint(1, 3), rng.randint(-3, 3)))
+        own.append(_graded_filiform_torus(n, gradings))
+    own.append(_graded_filiform_torus(7, [(c, 2 * c) for c in (scale() for _ in range(2))], m2=True))
+    return own + [_monomial_image(rng, g) for g in own]
 
 
 def _reduction_cases(seed):
@@ -500,7 +538,7 @@ def _reduction_cases(seed):
     # random changes of basis of the built-in families, and a dense h_5
     cases += [random_algebra(rng) for _ in range(4)]
     cases.append(_dense_image(rng, heisenberg(2)))
-    return cases
+    return cases + _torus_on_eliminated_ideal_cases(rng)
 
 
 def _representatives_of_the_full_complex(g, k):
@@ -576,21 +614,21 @@ def _weight_zero_count(weights, k):
 def test_reduction_follows_the_structure_it_finds(monkeypatch):
     rng = random.Random(93)
     # x + m0(4) graded with weights 1, 1, 2, 3, then 1, -1, 0, 1 on e_0..e_3:
-    # ad(x) is diagonal, also after a monomial change of basis, so only
-    # the weight-0 columns; tr ad(x) != 0, so in every degree that has
-    # one.  Graded with 3, -4, -1, 2 it is unimodular: only up to the
-    # middle degree
+    # ad(x) is diagonal, also after a monomial change of basis, so x is
+    # split off and only the weight-0 columns of m0(4) are assembled;
+    # tr ad(x) != 0, so in every degree that has one.  Graded with
+    # 3, -4, -1, 2 it is unimodular: only up to the middle degree
     lines = []
-    for u, v, top in ((1, 1, 5), (1, -1, 5), (3, -4, 3)):
-        weights = [(0,)] + [(w,) for w in (u, v, u + v, 2 * u + v)]
+    for u, v, top in ((1, 1, 4), (1, -1, 4), (3, -4, 2)):
+        weights = [(w,) for w in (u, v, u + v, 2 * u + v)]
         counts = [(k, _weight_zero_count(weights, k)) for k in range(top)]
         line = [(k, cols) for k, cols in counts if cols]
         assert _assembled(monkeypatch, _graded_filiform(u, v)) == line
         assert _assembled(monkeypatch, _monomial_image(rng, _graded_filiform(u, v))) == line
         lines.append(line)
-    # weights 1, 1, 2, 3 leave no weight-0 cochain above degree 1
-    assert lines[0] == [(0, 1), (1, 1)]
-    assert sum(cols for _, cols in lines[1]) < sum(comb(5, k) for k in range(5))
+    # weights 1, 1, 2, 3 leave no weight-0 cochain of m0(4) above degree 0
+    assert lines[0] == [(0, 1)]
+    assert sum(cols for _, cols in lines[1]) < sum(comb(4, k) for k in range(4))
     lines = [entry for line in lines for entry in line]
     # each factor of a direct sum alone, over its own weight-0 columns
     h = direct_sum(_graded_filiform(1, 1), _graded_filiform(1, -1))
@@ -693,7 +731,10 @@ def _torus_near_misses(rng):
     # sl_2 + aff with [e, f] = h and x scaling e, f and w by 1, -1 and 1:
     # [e, f] lands on the diagonal index h, so n is no ideal, although
     # omega is nondegenerate on e, f; t + (h_3 + a_1) has a degenerate
-    # omega; a dense image of a diamond has no diagonal ad
+    # omega; x + n with [x, q] = 2q, [x, z] = 2z, [a, q] = [a, z] = z has
+    # every bracket of n a multiple of z but weights on n, so it is not
+    # aff + a_1: (1, 2, 1, 0, 0), where C(1, .) * C(2, .) reads
+    # (1, 3, 3, 1, 0); a dense image of a diamond has no diagonal ad
     sl2 = LieAlgebra(5, {
         (0, 2): {2: 2}, (0, 3): {3: -2}, (2, 3): {0: 1},
         (1, 2): {2: 1}, (1, 3): {3: -1}, (1, 4): {4: 1},
@@ -701,8 +742,11 @@ def _torus_near_misses(rng):
     degenerate = LieAlgebra(5, {
         (0, 1): {1: 1}, (0, 2): {2: 2}, (0, 3): {3: -1}, (0, 4): {4: -1}, (2, 3): {1: 1},
     })
+    weighted = LieAlgebra(4, {(0, 2): {2: 2}, (0, 3): {3: 2}, (1, 2): {3: 1}, (1, 3): {3: 1}})
+    assert _full_complex_profile(weighted).b == (1, 2, 1, 0, 0)
     lam = random_scalar(rng, allow_zero=False, complex_rate=0.7)
     return [sl2, _monomial_image(rng, sl2), degenerate, _monomial_image(rng, degenerate),
+            weighted, _monomial_image(rng, weighted),
             _dense_image(rng, diamond([lam, -lam])[0])]
 
 
@@ -723,7 +767,7 @@ def test_torus_factors_match_the_full_complex(seed, monkeypatch):
 
 def test_torus_route_counts_no_larger_subsets_than_the_degree_needs(monkeypatch):
     # twenty parameters in twenty classes up to sign: b_2 = 20 - 1, the
-    # paper's count, read from subsets of at most three weights, where a
+    # paper's count, read from subsets of at most two weights, where a
     # table of all subsets of a half would hold 2^20 entries
     g, _ = diamond([Scalar(v, v * v + 7) for v in range(1, 21)])
     largest = []
@@ -736,7 +780,7 @@ def test_torus_route_counts_no_larger_subsets_than_the_degree_needs(monkeypatch)
 
     monkeypatch.setattr(cochain, "_subset_counts", spy)
     assert [betti(g, k) for k in range(3)] == [1, 1, 19]
-    assert largest and max(largest) <= 3
+    assert largest and max(largest) <= 2
 
 
 @pytest.mark.parametrize("seed", [99, 100, 101])
