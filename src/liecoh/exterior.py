@@ -16,6 +16,7 @@ in a basis vector removes an index at 1-based position p with sign
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 from .errors import DegreeOutOfRange, DegreeZero, DimensionMismatch
@@ -250,6 +251,13 @@ def _split_terms(text: str) -> list[tuple[int, str]]:
     return terms
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _parse_coeff_body(body: str) -> Scalar:
     # inverse of _display_coeff for the parenthesised complex layout
     inner = body[1:-1]
@@ -259,9 +267,7 @@ def _parse_coeff_body(body: str) -> Scalar:
     for sep, sgn in ((" + ", 1), (" - ", -1)):
         if sep in inner:
             re_text, im_text = inner.split(sep, 1)
-            from fractions import Fraction
-
-            return Scalar(Fraction(re_text), sgn * Fraction(im_text))
+            return Scalar(_fraction(re_text), sgn * _fraction(im_text))
     raise ValueError(f"cannot parse coefficient {body!r}")
 
 
@@ -281,8 +287,6 @@ def parse_form(text: str, dim: int, names=None, degree=None) -> ExteriorForm:
         if degree is None:
             raise ValueError("parsing '0' needs an explicit degree")
         return ExteriorForm.zero(dim, degree)
-    from fractions import Fraction
-
     total: dict[tuple[int, ...], Scalar] = {}
     inferred = None
     for sign, chunk in _split_terms(text):
@@ -297,7 +301,7 @@ def parse_form(text: str, dim: int, names=None, degree=None) -> ExteriorForm:
                 coeff = Scalar(1)
                 rest = chunk
             else:
-                coeff = Scalar(Fraction(head))
+                coeff = Scalar(_fraction(head))
                 rest = tail.strip()
         if sign < 0:
             coeff = -coeff
@@ -307,6 +311,8 @@ def parse_form(text: str, dim: int, names=None, degree=None) -> ExteriorForm:
                 if name not in index_of:
                     raise ValueError(f"unknown coordinate name {name!r}")
             indices = tuple(index_of[name] for name in parts)
+            if any(a >= b for a, b in zip(indices, indices[1:])):
+                raise ValueError(f"monomial {rest!r} is not in increasing order")
         else:
             indices = ()
         if inferred is None:

@@ -223,6 +223,10 @@ def test_parse_examples():
     assert w4.terms == {(0, 1): ONE}
     with pytest.raises(ValueError):
         parse_form("a", 2, names=["a", "a"])
+    # zero denominators and monomials out of order are malformed text too
+    for text in ("9/0 e0", "(1 + 2/0 i) e0", "e1^e0", "e0^e0"):
+        with pytest.raises(ValueError):
+            parse_form(text, 2)
 
 
 def test_format_parse_round_trip_random():
@@ -242,3 +246,44 @@ def test_round_trip_with_labels():
     text = format_form(w, names)
     assert text == "2 Z^X1 + (0 - 1 i) X1^X2"
     assert parse_form(text, 3, names=names) == w
+
+
+_EDIT_CHARACTERS = " +-^()/i0123456789eXZ"
+
+
+def _mutate(rng, text):
+    # a few single-character insertions, deletions and replacements
+    chars = list(text)
+    for _ in range(rng.randint(0, 6)):
+        position = rng.randint(0, len(chars))
+        edit = rng.randrange(3)
+        if edit == 0 or not chars:
+            chars.insert(position, rng.choice(_EDIT_CHARACTERS))
+        elif position < len(chars):
+            if edit == 1:
+                del chars[position]
+            else:
+                chars[position] = rng.choice(_EDIT_CHARACTERS)
+    return "".join(chars)
+
+
+@pytest.mark.parametrize("seed", [131, 132])
+def test_parse_mutated_text_raises_only_value_error(seed):
+    # every text parse_form accepts round-trips through format_form, and
+    # every one it refuses is refused with ValueError
+    rng = random.Random(seed)
+    accepted = refused = 0
+    for _ in range(1500):
+        dim = rng.randint(1, 5)
+        names = rng.choice((None, ["Z", "X1", "X2", "Y1", "Y2"][:dim]))
+        w = random_form(rng, dim, rng.randint(0, dim), complex_rate=0.4)
+        text = _mutate(rng, format_form(w, names))
+        try:
+            back = parse_form(text, dim, names, degree=rng.choice((None, w.degree)))
+        except ValueError:
+            refused += 1
+            continue
+        accepted += 1
+        again = format_form(back, names)
+        assert parse_form(again, dim, names, degree=back.degree) == back, (text, again)
+    assert accepted > 300 and refused > 300
