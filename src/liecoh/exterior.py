@@ -12,15 +12,23 @@ Evaluation follows the determinant convention, so
 parity of the permutation sorting their concatenation, and contracting
 in a basis vector removes an index at 1-based position p with sign
 (-1)**(p-1).
+
+As text, a form is its terms in monomial order, joined by `` + `` or
+`` - ``, or ``0`` when it has none.  A term is a coefficient and the
+monomial's names joined by ``^``, such as ``-1/2 e0^e2``.  A real
+coefficient gives its sign to the separator (a leading ``-`` on the
+first term) and is left out when it is 1 before a monomial; a complex
+one is written ``(re + im i)`` or ``(re - |im| i)`` after a `` + ``.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations
 
 from .errors import DegreeOutOfRange, DegreeZero, DimensionMismatch
-from .scalars import ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
     "ExteriorForm",
@@ -171,84 +179,35 @@ def contract_basis(w: ExteriorForm, index: int) -> ExteriorForm:
     return ExteriorForm(w.dim, w.degree - 1, terms)
 
 
-def _display_coeff(value: Scalar) -> tuple[str, bool]:
-    # returns (text, carries_own_sign); real coefficients let the caller
-    # pull the sign into the separator, complex ones are parenthesised
-    if not value.im:
-        return str(value.re), False
-    sign = " + " if value.im > 0 else " - "
-    return f"({value.re}{sign}{abs(value.im)} i)", True
-
-
 def default_names(dim: int) -> list[str]:
     return [f"e{k}" for k in range(dim)]
 
 
 def format_form(w: ExteriorForm, names=None) -> str:
-    """Render a form as ``c n1^n2 + ...`` with deterministic term order."""
+    """Render a form in the text layout of the module docstring."""
     if names is None:
         names = default_names(w.dim)
     if len(names) != w.dim:
         raise DimensionMismatch(f"{len(names)} names for dimension {w.dim}")
     if not w.terms:
         return "0"
-    pieces = []
+    rendered = ""
     for key in sorted(w.terms):
         value = w.terms[key]
         monomial = "^".join(names[i] for i in key)
-        coeff, self_signed = _display_coeff(value)
-        if self_signed:
-            body = f"{coeff} {monomial}" if monomial else coeff
-            pieces.append(("+", body))
+        if value.im:
+            sign = " + "
+            coeff = f"({value.re} {'+' if value.im > 0 else '-'} {abs(value.im)} i)"
         else:
-            negative = coeff.startswith("-")
-            magnitude = coeff[1:] if negative else coeff
-            if monomial and magnitude == "1":
-                body = monomial
-            elif monomial:
-                body = f"{magnitude} {monomial}"
-            else:
-                body = magnitude
-            pieces.append(("-" if negative else "+", body))
-    sign, body = pieces[0]
-    rendered = body if sign == "+" else f"-{body}"
-    for sign, body in pieces[1:]:
-        rendered += f" + {body}" if sign == "+" else f" - {body}"
-    return rendered
+            sign = " - " if value.re < 0 else " + "
+            coeff = "" if monomial and abs(value.re) == 1 else str(abs(value.re))
+        rendered += sign + " ".join(filter(None, (coeff, monomial)))
+    return rendered[3:] if rendered.startswith(" + ") else "-" + rendered[3:]
 
 
-def _split_terms(text: str) -> list[tuple[int, str]]:
-    # split on top-level " + " / " - ", respecting parentheses
-    terms = []
-    sign = 1
-    depth = 0
-    start = 0
-    if text.startswith("-"):
-        sign = -1
-        start = 1
-    current = start
-    i = start
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and text.startswith(" + ", i):
-            terms.append((sign, text[current:i]))
-            sign = 1
-            i += 3
-            current = i
-            continue
-        elif depth == 0 and text.startswith(" - ", i):
-            terms.append((sign, text[current:i]))
-            sign = -1
-            i += 3
-            current = i
-            continue
-        i += 1
-    terms.append((sign, text[current:]))
-    return terms
+# " + " or " - " between terms: not inside a parenthesised coefficient,
+# so no ")" comes before the next "("
+_SEPARATOR = re.compile(r" ([+-]) (?![^(]*\))")
 
 
 def _fraction(text: str) -> Fraction:
@@ -258,24 +217,24 @@ def _fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _parse_coeff_body(body: str) -> Scalar:
-    # inverse of _display_coeff for the parenthesised complex layout
-    inner = body[1:-1]
-    if not inner.endswith(" i"):
-        raise ValueError(f"cannot parse coefficient {body!r}")
-    inner = inner[:-2]
-    for sep, sgn in ((" + ", 1), (" - ", -1)):
-        if sep in inner:
-            re_text, im_text = inner.split(sep, 1)
-            return Scalar(_fraction(re_text), sgn * _fraction(im_text))
-    raise ValueError(f"cannot parse coefficient {body!r}")
+def _complex(inner: str) -> Scalar:
+    # the inside of "(re + im i)" or "(re - im i)"
+    body = inner[:-2] if inner.endswith(" i") else ""
+    for sep, sign in ((" + ", 1), (" - ", -1)):
+        re_text, found, im_text = body.partition(sep)
+        if found:
+            return Scalar(_fraction(re_text), sign * _fraction(im_text))
+    raise ValueError(f"cannot parse coefficient ({inner})")
 
 
 def parse_form(text: str, dim: int, names=None, degree=None) -> ExteriorForm:
-    """Parse the output of format_form back into a form.
+    """Read a form from the text layout of the module docstring.
 
-    ``degree`` is only needed for the text "0", which carries no terms
-    to infer it from.  Names must be unique.
+    Spaces around terms, terms in any order, repeated monomials (summed)
+    and a coefficient on any term, in any form ``Fraction`` reads or
+    complex after either sign, are also accepted.  ``degree`` is needed
+    only for the text "0"; when given it must match.  Names must be
+    unique.  Any other text raises ValueError.
     """
     if names is None:
         names = default_names(dim)
@@ -287,43 +246,33 @@ def parse_form(text: str, dim: int, names=None, degree=None) -> ExteriorForm:
         if degree is None:
             raise ValueError("parsing '0' needs an explicit degree")
         return ExteriorForm.zero(dim, degree)
+    negative = text.startswith("-")
+    pieces = _SEPARATOR.split(text[1:] if negative else text)
+    signs = ["-" if negative else "+", *pieces[1::2]]
     total: dict[tuple[int, ...], Scalar] = {}
-    inferred = None
-    for sign, chunk in _split_terms(text):
+    degrees = set()
+    for sign, chunk in zip(signs, pieces[::2]):
         chunk = chunk.strip()
+        head, _, tail = chunk.partition(" ")
         if chunk.startswith("("):
             close = chunk.index(")")
-            coeff = _parse_coeff_body(chunk[: close + 1])
+            coeff = _complex(chunk[1:close])
             rest = chunk[close + 1 :].strip()
+        elif head in index_of or "^" in head:
+            coeff, rest = ONE, chunk
         else:
-            head, _, tail = chunk.partition(" ")
-            if head in index_of or "^" in head:
-                coeff = Scalar(1)
-                rest = chunk
-            else:
-                coeff = Scalar(_fraction(head))
-                rest = tail.strip()
-        if sign < 0:
-            coeff = -coeff
-        if rest:
-            parts = rest.split("^")
-            for name in parts:
-                if name not in index_of:
-                    raise ValueError(f"unknown coordinate name {name!r}")
-            indices = tuple(index_of[name] for name in parts)
-            if any(a >= b for a, b in zip(indices, indices[1:])):
-                raise ValueError(f"monomial {rest!r} is not in increasing order")
-        else:
-            indices = ()
-        if inferred is None:
-            inferred = len(indices)
-        elif inferred != len(indices):
-            raise ValueError("terms of different degrees in one form")
-        value = total.get(indices, ZERO) + coeff
-        if value:
-            total[indices] = value
-        elif indices in total:
-            del total[indices]
-    if degree is not None and inferred is not None and degree != inferred:
+            coeff, rest = Scalar(_fraction(head)), tail.strip()
+        key = tuple(index_of.get(name, -1) for name in rest.split("^")) if rest else ()
+        if -1 in key:
+            raise ValueError(f"unknown coordinate name in {rest!r}")
+        if any(a >= b for a, b in zip(key, key[1:])):
+            raise ValueError(f"monomial {rest!r} is not in increasing order")
+        degrees.add(len(key))
+        # the constructor drops the monomials whose terms cancel
+        total[key] = total.get(key, ZERO) + (-coeff if sign == "-" else coeff)
+    if len(degrees) > 1:
+        raise ValueError("terms of different degrees in one form")
+    (inferred,) = degrees
+    if degree is not None and degree != inferred:
         raise ValueError(f"requested degree {degree} but parsed degree {inferred}")
-    return ExteriorForm(dim, inferred if inferred is not None else degree, total)
+    return ExteriorForm(dim, inferred, total)
