@@ -87,8 +87,9 @@ parameters is Y_0 + h_{2r+1} beside an abelian factor, with z = X_0 of
 weight 0 and V the weights +-lam_i; at k = 2, c_1 = 0 and
 b_2 = N_2(0) - 1, which is sum n_j^2 - 1 over the classes of parameters
 equal up to sign, the paper's count.  Any other n goes through the
-weight-0 complex above on its own indices, mirrored when the whole
-factor is unimodular: then n is, and its weights sum to 0.  For b_k an
+weight-0 complex above on its own indices, assembled from its own
+brackets when t was split off, mirrored when the whole factor is
+unimodular: then n is, and its weights sum to 0.  For b_k an
 n of dimension d is needed only in degrees k - (n - d) to min(k, d),
 since the rest of the algebra spans n - d dimensions; below them its
 vector is padded with zeros.
@@ -634,7 +635,15 @@ def _split_betti(algebra: LieAlgebra, low: int, high: int) -> list[int]:
             first = max(0, low - (n - d))
             degrees = range(first, min(high, d) + 1)
             unimodular = nonzero_trace.isdisjoint(block)
-            part = [0] * first + _reduced_betti(algebra, ideal, weights, unimodular, degrees)
+            factor = algebra
+            if ideal is not block:
+                # n's own brackets: the t terms of d(e_l*) cancel on its weight-0 cochains
+                members = set(ideal)
+                factor = LieAlgebra(n, {
+                    (a, b): v for (a, b), v in algebra.brackets.items()
+                    if a in members and b in members
+                })
+            part = [0] * first + _reduced_betti(factor, ideal, weights, unimodular, degrees)
         out = _convolve(out, part, high)
     out = _convolve(out, [comb(free, j) for j in range(min(high, free) + 1)], high)
     return out[low : high + 1]

@@ -653,6 +653,26 @@ def test_reduction_follows_the_structure_it_finds(monkeypatch):
     assert _assembled(monkeypatch, h) == []
 
 
+def test_split_torus_is_not_assembled(monkeypatch):
+    # x + m0(4), and t + m0(6) with t two-dimensional: once t is split
+    # off, d is assembled from the ideal's own brackets, none on t
+    cases = ((_graded_filiform(1, -1), {0}), (_graded_filiform_torus(6, [(1, -2), (1, 3)]), {0, 1}))
+    original = cochain.coboundary_matrix
+    for g, torus in cases:
+        seen = []
+
+        def spy(algebra, k, monomials=None):
+            seen.append(algebra)
+            return original(algebra, k, monomials)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cochain, "coboundary_matrix", spy)
+            b = betti_profile(g).b
+        assert seen
+        assert all(torus.isdisjoint(pair) for h in seen for pair in h.brackets)
+        assert b == _full_complex_profile(g).b
+
+
 def _line_cases(rng):
     # dense images of h_{2m+1} + a and aff + a up to dimension 7: every
     # bracket is a multiple of one vector z, central or not
