@@ -87,22 +87,29 @@ def validate(algebra: LieAlgebra, form) -> QuadraticStructure:
     return QuadraticStructure(algebra, matrix, sharp)
 
 
-def _first_non_invariant(algebra: LieAlgebra, matrix):
-    """The first basis triple (i, j, k) with j < k, in the order of j,
-    then k, then i, where B([e_i,e_j], e_k) != B(e_i, [e_j,e_k]), with
-    both values; None if B is invariant.
-
-    B is symmetric here, so the right side is B([e_j,e_k], e_i).  With
-    T(a, b, c) = B([e_a,e_b], e_c), built from the brackets and the
-    nonzero entries of B, the triple fails when T(i, j, k) != T(j, k, i),
-    and only a triple naming a nonzero T in one of those two places can.
-    """
+def _bracket_table(algebra: LieAlgebra, matrix) -> dict[tuple[int, int, int], Scalar]:
+    """T(a, b, c) = B([e_a,e_b], e_c) for a < b, built from the brackets
+    and the nonzero entries of B; the triples it leaves out are 0."""
     nonzero = [{c: v for c, v in enumerate(row) if v} for row in matrix]
     table: dict[tuple[int, int, int], Scalar] = {}
     for (a, b), vector in algebra.brackets.items():
         for l, coeff in vector.items():
             for c, value in nonzero[l].items():
                 table[(a, b, c)] = table.get((a, b, c), ZERO) + coeff * value
+    return table
+
+
+def _first_non_invariant(algebra: LieAlgebra, matrix):
+    """The first basis triple (i, j, k) with j < k, in the order of j,
+    then k, then i, where B([e_i,e_j], e_k) != B(e_i, [e_j,e_k]), with
+    both values; None if B is invariant.
+
+    B is symmetric here, so the right side is B([e_j,e_k], e_i).  With
+    T from ``_bracket_table``, the triple fails when T(i, j, k) !=
+    T(j, k, i), and only a triple naming a nonzero T in one of those two
+    places can.
+    """
+    table = _bracket_table(algebra, matrix)
 
     def t(a, b, c):
         return table.get((a, b, c), ZERO) if a < b else -table.get((b, a, c), ZERO)
@@ -124,18 +131,11 @@ def _first_non_invariant(algebra: LieAlgebra, matrix):
 
 
 def associated_three_form(structure: QuadraticStructure) -> ExteriorForm:
-    """The alternating form i(x, y, z) = B([x, y], z)."""
-    algebra = structure.algebra
-    n = algebra.dim
-    terms = {}
-    for (i, j), vector in algebra.brackets.items():
-        for k in range(j + 1, n):
-            value = ZERO
-            for l, c in vector.items():
-                value = value + c * structure.form[l][k]
-            if value:
-                terms[(i, j, k)] = value
-    return ExteriorForm(n, 3, terms)
+    """The alternating form i(x, y, z) = B([x, y], z), whose coefficient
+    on e_a* ^ e_b* ^ e_c* is T(a, b, c)."""
+    table = _bracket_table(structure.algebra, structure.form)
+    terms = {(a, b, c): value for (a, b, c), value in table.items() if b < c}
+    return ExteriorForm(structure.algebra.dim, 3, terms)
 
 
 def super_poisson(structure: QuadraticStructure, a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
