@@ -199,8 +199,11 @@ def format_form(w: ExteriorForm, names=None) -> str:
             sign = " + "
             coeff = f"({value.re} {'+' if value.im > 0 else '-'} {abs(value.im)} i)"
         else:
-            sign = " - " if value.re < 0 else " + "
-            coeff = "" if monomial and abs(value.re) == 1 else str(abs(value.re))
+            num, den = value.re.numerator, value.re.denominator
+            sign = " - " if num < 0 else " + "
+            coeff = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+            if coeff == "1" and monomial:
+                coeff = ""
         rendered += sign + " ".join(filter(None, (coeff, monomial)))
     return rendered[3:] if rendered.startswith(" + ") else "-" + rendered[3:]
 
@@ -246,9 +249,8 @@ def parse_form(text: str, dim: int, names=None, degree=None) -> ExteriorForm:
         if degree is None:
             raise ValueError("parsing '0' needs an explicit degree")
         return ExteriorForm.zero(dim, degree)
-    negative = text.startswith("-")
-    pieces = _SEPARATOR.split(text[1:] if negative else text)
-    signs = ["-" if negative else "+", *pieces[1::2]]
+    pieces = _SEPARATOR.split(text.removeprefix("-"))
+    signs = ["-" if text.startswith("-") else "+", *pieces[1::2]]
     total: dict[tuple[int, ...], Scalar] = {}
     degrees = set()
     for sign, chunk in zip(signs, pieces[::2]):
