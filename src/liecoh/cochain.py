@@ -635,15 +635,16 @@ def _split_betti(algebra: LieAlgebra, low: int, high: int) -> list[int]:
             first = max(0, low - (n - d))
             degrees = range(first, min(high, d) + 1)
             unimodular = nonzero_trace.isdisjoint(block)
-            factor = algebra
+            # d on n's weight-0 cochains has no t* term, so a split-off t
+            # is left out of the brackets d is assembled from
+            source = algebra
             if ideal is not block:
-                # n's own brackets: the t terms of d(e_l*) cancel on its weight-0 cochains
                 members = set(ideal)
-                factor = LieAlgebra(n, {
+                source = LieAlgebra(n, {
                     (a, b): v for (a, b), v in algebra.brackets.items()
                     if a in members and b in members
                 })
-            part = [0] * first + _reduced_betti(factor, ideal, weights, unimodular, degrees)
+            part = [0] * first + _reduced_betti(source, ideal, weights, unimodular, degrees)
         out = _convolve(out, part, high)
     out = _convolve(out, [comb(free, j) for j in range(min(high, free) + 1)], high)
     return out[low : high + 1]
