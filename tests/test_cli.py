@@ -371,6 +371,9 @@ def test_error_exit_codes(capsys, tmp_path):
     # a malformed scalar is refused even where the family ignores --lambda
     code, out, err = run(capsys, "profile", "--family", "heisenberg", "--m", "1", "--lambda", "1.5")
     assert (code, out) == (2, "") and err == "error: cannot parse scalar '1.5'\n"
+    # digits are ASCII only, so ARABIC-INDIC TWO is not a parameter
+    code, out, err = run(capsys, "betti", "--family", "diamond", "--lambda", "\u0662", "--degree", "2")
+    assert (code, out) == (2, "") and err == "error: cannot parse scalar '\u0662'\n"
     code, out, err = run(capsys, "diamond-b2", "--lambda", "1/0")
     assert (code, out) == (2, "") and err == "error: zero denominator in scalar '1/0'\n"
     # missing family parameter

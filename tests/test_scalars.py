@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from liecoh.exterior import parse_form
 from liecoh.scalars import (
     ONE,
     ZERO,
@@ -27,6 +28,12 @@ def test_floats_rejected():
         Scalar(0.5)
     with pytest.raises(TypeError):
         Scalar(1, 0.25)
+
+
+def test_strings_rejected():
+    # text goes through the readers, never the constructor
+    with pytest.raises(TypeError):
+        Scalar("1/2")
 
 
 def test_field_axioms_random():
@@ -106,7 +113,11 @@ def test_parse_examples():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "1.5", "x", "1 + i", "i+1", "1/", "/2", "++1", "1+i+1", "1/0", "1-1/0i"):
+    for bad in (
+        "", "1.5", "x", "1 + i", "i+1", "1/", "/2", "++1", "1+i+1", "1/0", "1-1/0i",
+        # digits are ASCII only: ARABIC-INDIC TWO and THREE are refused
+        "\u0662", "1/\u0663", "\u0662i",
+    ):
         with pytest.raises(ValueError):
             parse_scalar(bad)
 
@@ -139,3 +150,30 @@ def test_bool():
     assert not ZERO
     assert ONE
     assert Scalar(0, Fraction(1, 5))
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except ValueError:
+        return ValueError
+
+
+def test_readers_agree_on_rational_text_random():
+    # scalar_from_json, parse_scalar and a parse_form coefficient read one
+    # grammar: on any text each gives the same value or each ValueError.
+    # A leading "-" is left out, since parse_form reads it as the sign of
+    # the first term.
+    alphabet = "0123456789/+-._e\u0662"
+    rng = random.Random(44)
+    readers = (
+        scalar_from_json,
+        parse_scalar,
+        lambda text: parse_form(text + " e0", 1).terms.get((0,), ZERO),
+    )
+    for _ in range(3000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
+        if text.startswith("-"):
+            continue
+        outcomes = [_outcome(read, text) for read in readers]
+        assert outcomes[0] == outcomes[1] == outcomes[2], (text, outcomes)
