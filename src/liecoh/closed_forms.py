@@ -69,10 +69,8 @@ def betti_heisenberg(m: int, k: int) -> int:
 def betti_heisenberg_ext(m: int, n: int, k: int) -> int:
     """b_k of Heisenberg (dimension 2m+1) + abelian, total dimension n > 2m+1.
 
-    For m = 1 a single expression covers all degrees.  For m > 1 the low
-    range k <= m collapses to binomial differences, the middle range up
-    to n/2 is a finite sum over the Heisenberg factor's degrees, and the
-    top half follows by duality.
+    By Kunneth, the Heisenberg Betti numbers convolved with the abelian
+    factor's binomial row C(n-2m-1, .).
     """
     if m < 1:
         raise DimensionMismatch(f"need m >= 1, got {m}")
@@ -82,18 +80,10 @@ def betti_heisenberg_ext(m: int, n: int, k: int) -> int:
         )
     if not (0 <= k <= n):
         raise DegreeOutOfRange(f"degree {k} outside 0..{n}")
-    if m == 1:
-        return binom(n - 1, k) + binom(n - 2, k - 2)
-    if k > n // 2:
-        k = n - k
-    if k <= m:
-        return binom(n - 1, k) - binom(n - 1, k - 2)
-    total = 0
-    for i in range(0, min(k, 2 * m + 1) + 1):
-        step = i // (m + 1)
-        factor = binom(2 * m, i - step) - binom(2 * m, i + 3 * step - 2)
-        total += factor * binom(n - 2 * m - 1, k - i)
-    return total
+    return sum(
+        betti_heisenberg(m, i) * binom(n - 2 * m - 1, k - i)
+        for i in range(min(k, 2 * m + 1) + 1)
+    )
 
 
 @dataclass(frozen=True)
