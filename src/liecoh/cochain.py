@@ -117,7 +117,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb
@@ -227,7 +226,7 @@ class CoboundaryMatrix:
         }
         d = self.denominator
         return {
-            (row_of[mask], c): Scalar(Fraction(re, d), Fraction(im, d))
+            (row_of[mask], c): Scalar.from_gaussian(re, im, d)
             for mask, row in self.int_rows.items()
             for c, (re, im) in row.items()
         }
@@ -696,7 +695,7 @@ def coboundary_basis(algebra: LieAlgebra, k: int) -> list[ExteriorForm]:
     d = algebra._denominator
     return [
         ExteriorForm(n, k, {
-            _indices(mask): Scalar(Fraction(re, d), Fraction(im, d))
+            _indices(mask): Scalar.from_gaussian(re, im, d)
             for mask, (re, im) in image.items()
         })
         for image in algebra._expand_d(_monomials(range(n), k - 1))

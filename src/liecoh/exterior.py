@@ -24,11 +24,10 @@ one is written ``(re + im i)`` or ``(re - |im| i)`` after a `` + ``.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import DegreeOutOfRange, DegreeZero, DimensionMismatch
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, parse_rational
 
 __all__ = [
     "ExteriorForm",
@@ -213,20 +212,13 @@ def format_form(w: ExteriorForm, names=None) -> str:
 _SEPARATOR = re.compile(r" ([+-]) (?![^(]*\))")
 
 
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-
-
 def _complex(inner: str) -> Scalar:
-    # the inside of "(re + im i)" or "(re - im i)"
+    # the inside of "(re + im i)" or "(re - im i)", extra spaces allowed
     body = inner[:-2] if inner.endswith(" i") else ""
     for sep, sign in ((" + ", 1), (" - ", -1)):
         re_text, found, im_text = body.partition(sep)
         if found:
-            return Scalar(_fraction(re_text), sign * _fraction(im_text))
+            return Scalar(parse_rational(re_text.strip()), sign * parse_rational(im_text.strip()))
     raise ValueError(f"cannot parse coefficient ({inner})")
 
 
@@ -234,8 +226,9 @@ def parse_form(text: str, dim: int, names=None, degree=None) -> ExteriorForm:
     """Read a form from the text layout of the module docstring.
 
     Spaces around terms, terms in any order, repeated monomials (summed)
-    and a coefficient on any term, in any form ``Fraction`` reads or
-    complex after either sign, are also accepted.  ``degree`` is needed
+    and a coefficient on any term, real or complex after either sign,
+    are also accepted; a rational part is ``[+-]?\\d+(/\\d+)?`` in ASCII
+    digits, read by ``scalars.parse_rational``.  ``degree`` is needed
     only for the text "0"; when given it must match.  Names must be
     unique.  Any other text raises ValueError.
     """
@@ -263,7 +256,7 @@ def parse_form(text: str, dim: int, names=None, degree=None) -> ExteriorForm:
         elif head in index_of or "^" in head:
             coeff, rest = ONE, chunk
         else:
-            coeff, rest = Scalar(_fraction(head)), tail.strip()
+            coeff, rest = Scalar(parse_rational(head)), tail.strip()
         key = tuple(index_of.get(name, -1) for name in rest.split("^")) if rest else ()
         if -1 in key:
             raise ValueError(f"unknown coordinate name in {rest!r}")

@@ -28,9 +28,6 @@ Families used throughout:
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-
 from . import linalg
 from .errors import (
     BadInput,
@@ -39,7 +36,7 @@ from .errors import (
     IndexOutOfRange,
     JacobiViolation,
 )
-from .scalars import ONE, ZERO, Scalar, scalar_from_json, scalar_to_json
+from .scalars import ONE, ZERO, Scalar, denominator, scalar_from_json, scalar_to_json
 
 __all__ = [
     "LieAlgebra",
@@ -69,7 +66,6 @@ class LieAlgebra:
         if not isinstance(dim, int) or dim < 0:
             raise DimensionMismatch(f"dimension must be a non-negative integer, got {dim!r}")
         table: dict[tuple[int, int], dict[int, Scalar]] = {}
-        denominator = 1
         for (i, j), vector in brackets.items():
             if not (0 <= i < j < dim):
                 raise IndexOutOfRange(
@@ -84,9 +80,9 @@ class LieAlgebra:
                 coeff = Scalar.coerce(value)
                 if coeff:
                     clean[l] = coeff
-                    denominator = lcm(denominator, coeff.re.denominator, coeff.im.denominator)
             if clean:
                 table[(i, j)] = clean
+        scale = denominator(c for vector in table.values() for c in vector.values())
         # a term of D d(e_l*) is (pair, between, re, im): the bitmask of
         # {a, b}, the bitmask of a..b-1 and the Gaussian integer -D c^l_ab
         dual: dict[int, list[tuple[int, int, int, int]]] = {}
@@ -94,12 +90,11 @@ class LieAlgebra:
             pair = (1 << a) | (1 << b)
             between = (1 << b) - (1 << a)
             for l, c in vector.items():
-                re = -c.re.numerator * (denominator // c.re.denominator)
-                im = -c.im.numerator * (denominator // c.im.denominator)
-                dual.setdefault(l, []).append((pair, between, re, im))
+                re, im = c.scaled(scale)
+                dual.setdefault(l, []).append((pair, between, -re, -im))
         self.dim = dim
         self.brackets = table
-        self._denominator = denominator
+        self._denominator = scale
         self._dual = dual
         if labels is not None:
             labels = tuple(str(name) for name in labels)
@@ -173,7 +168,7 @@ class LieAlgebra:
             scale = self._denominator ** 2
             residual = [ZERO] * self.dim
             for l, (re, im) in failures[first].items():
-                residual[l] = Scalar(Fraction(re, scale), Fraction(im, scale))
+                residual[l] = Scalar.from_gaussian(re, im, scale)
             raise JacobiViolation(_indices(first), residual)
 
     def label(self, index: int) -> str:

@@ -5,10 +5,10 @@ any scale (only ``inverse`` takes a dense Scalar matrix); explicit zero
 entries are dropped where a caller's row comes in.  A nonzero multiple
 of a row changes no rank, echelon form, kernel or span, so a caller
 holding integers (the coboundary assembly) passes them as is.
-``gaussian_row`` is the one edge from Scalars; it clears the
-denominators of a ``{column: Scalar}`` row.  ``_scalar_row`` is the one
-edge back; it divides a row by its pivot entry, which gives the rows of
-``rref`` and so the vectors of ``kernel_basis`` and ``inverse``.
+``gaussian_row`` clears the denominators of a ``{column: Scalar}`` row,
+and ``_scalar_row`` divides a row by its pivot entry back into Scalars,
+which gives the rows of ``rref`` and so the vectors of ``kernel_basis``
+and ``inverse``; both convert through the edge in ``scalars``.
 
 In between, ``_reduce`` is the only code that combines two rows.  It
 reduces a row left-looking against pivot rows keyed by their leading
@@ -30,10 +30,9 @@ scale.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, denominator
 
 __all__ = [
     "gaussian_row",
@@ -50,22 +49,14 @@ def gaussian_row(row, ncols: int) -> dict[int, tuple[int, int]]:
     denominators to Gaussian-integer entries, dropping zeros; ValueError
     for a column outside 0..ncols-1."""
     values = {}
-    scale = 1
     for col, value in row.items():
         if not 0 <= col < ncols:
             raise ValueError(f"column {col} outside 0..{ncols - 1}")
         value = Scalar.coerce(value)
         if value:
             values[col] = value
-            for d in (value.re.denominator, value.im.denominator):
-                scale = scale // gcd(scale, d) * d
-    return {
-        col: (
-            value.re.numerator * (scale // value.re.denominator),
-            value.im.numerator * (scale // value.im.denominator),
-        )
-        for col, value in values.items()
-    }
+    scale = denominator(values.values())
+    return {col: value.scaled(scale) for col, value in values.items()}
 
 
 def _gcd_gaussian(xa: int, xb: int, ya: int, yb: int) -> tuple[int, int]:
@@ -119,7 +110,7 @@ def _scalar_row(row: dict[int, tuple[int, int]], pivot: int) -> dict[int, Scalar
     norm = pa * pa + pb * pb
     return {
         c: ONE if c == pivot
-        else Scalar(Fraction(a * pa + b * pb, norm), Fraction(b * pa - a * pb, norm))
+        else Scalar.from_gaussian(a * pa + b * pb, b * pa - a * pb, norm)
         for c, (a, b) in row.items()
     }
 

@@ -1,30 +1,37 @@
-"""Exact Gaussian-rational arithmetic.
+"""Exact Gaussian-rational arithmetic, and the engine's one edge to it.
 
 Every coefficient in the engine is an element of Q(i): a complex number
 whose real and imaginary parts are arbitrary-precision rationals.  There
 is no floating point anywhere, so equality tests are exact and ranks,
 kernels and Betti numbers computed downstream are exact integers.
 
-The compact text grammar used on the command line and in matrix exports
+A rational part as text is ``[+-]?\\d+(/\\d+)?`` in ASCII digits, such
+as ``3``, ``+2`` or ``-1/2``.  ``parse_rational`` reads it, and refuses
+anything else with ValueError, for the JSON schema (``scalar_from_json``),
+the compact grammar (``parse_scalar``) and form text
+(``exterior.parse_form``); ``Scalar`` takes no text.  The compact grammar
 is whitespace-free: ``3``, ``-1/2``, ``i``, ``2/3i``, ``1/2+3/4i``,
-``1/2-3/4i``.  ``parse_scalar`` reads it and ``str()`` writes it back;
-the round trip is the identity.
+``1/2-3/4i``; ``str()`` writes it back, and the round trip is the
+identity.  The engine works on Gaussian integers: ``denominator`` and
+``Scalar.scaled`` give them from Scalars, and ``Scalar.from_gaussian``
+turns (re + im i) / d back into a Scalar.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import lcm
 
-__all__ = ["Scalar", "parse_scalar", "ZERO", "ONE"]
+__all__ = ["Scalar", "parse_rational", "parse_scalar", "denominator", "ZERO", "ONE"]
 
 
 def _as_fraction(value) -> Fraction:
     # a Fraction is immutable, so it is kept rather than copied
     if type(value) is Fraction:
         return value
-    if isinstance(value, float):
-        raise TypeError("floating point input would not be exact; pass int, Fraction or str")
+    if isinstance(value, (float, str)):
+        raise TypeError(f"Scalar parts are int or Fraction, not {type(value).__name__}")
     return Fraction(value)
 
 
@@ -47,6 +54,19 @@ class Scalar:
         if isinstance(value, Scalar):
             return value
         return Scalar(value)
+
+    @staticmethod
+    def from_gaussian(re: int, im: int, d: int) -> "Scalar":
+        """The Scalar (re + im i) / d of a Gaussian integer over d != 0."""
+        return Scalar(Fraction(re, d), Fraction(im, d))
+
+    def scaled(self, d: int) -> tuple[int, int]:
+        """The Gaussian integer (re, im) of d times this Scalar, for a
+        multiple d of both denominators, as ``denominator`` gives."""
+        return (
+            self.re.numerator * (d // self.re.denominator),
+            self.im.numerator * (d // self.im.denominator),
+        )
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -80,11 +100,6 @@ class Scalar:
             return NotImplemented
         return Scalar(self.re - other.re, self.im - other.im)
 
-    def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Scalar(other) - self
-        return NotImplemented
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Scalar(other)
@@ -96,24 +111,6 @@ class Scalar:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        norm = other.re * other.re + other.im * other.im
-        if not norm:
-            raise ZeroDivisionError("division by zero scalar")
-        return Scalar(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Scalar(other) / self
-        return NotImplemented
 
     def __str__(self) -> str:
         if not self.im:
@@ -133,11 +130,31 @@ class Scalar:
         return f"Scalar({self.re!r}, {self.im!r})"
 
 
+def denominator(values) -> int:
+    """The least common denominator of the parts of some Scalars, 1 for
+    none; each Scalar times it is ``scaled`` to a Gaussian integer."""
+    return lcm(*(part.denominator for value in values for part in (value.re, value.im)))
+
+
 _NUM = r"\d+(?:/\d+)?"
+_RATIONAL_RE = _re.compile(rf"[+-]?{_NUM}", _re.ASCII)
+
+
+def parse_rational(text) -> Fraction:
+    """Read a rational part in the grammar of the module docstring;
+    ValueError on anything else, a non-string included."""
+    if not isinstance(text, str) or _RATIONAL_RE.fullmatch(text) is None:
+        raise ValueError(f"cannot read real value {text!r}; expected a string like '-3/4'")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 # the real part must end the string or be followed by a signed imaginary
 # part, otherwise "2i" would split as re="2", im="i"
 _SCALAR_RE = _re.compile(
-    rf"^(?P<re>[+-]?{_NUM}(?=$|[+-]))?(?P<im>[+-]?(?:{_NUM})?i)?$"
+    rf"^(?P<re>[+-]?{_NUM}(?=$|[+-]))?(?P<im>[+-]?(?:{_NUM})?i)?$", _re.ASCII
 )
 
 
@@ -149,24 +166,19 @@ def parse_scalar(text: str) -> Scalar:
     else (floats, empty strings and zero denominators included).
     """
     match = _SCALAR_RE.match(text)
-    if match is None or (match.group("re") is None and match.group("im") is None):
+    re_text, im_text = match.group("re", "im") if match else (None, None)
+    if re_text is None and im_text is None:
         raise ValueError(f"cannot parse scalar {text!r}")
-    re_part = Fraction(0)
-    im_part = Fraction(0)
+    # "i", "+i" and "-i" carry an implicit 1
+    im_body = im_text[:-1] if im_text else "0"
+    if im_body in ("", "+", "-"):
+        im_body += "1"
     try:
-        if match.group("re") is not None:
-            re_part = Fraction(match.group("re"))
-        if match.group("im") is not None:
-            body = match.group("im")[:-1]
-            if body in ("", "+"):
-                im_part = Fraction(1)
-            elif body == "-":
-                im_part = Fraction(-1)
-            else:
-                im_part = Fraction(body)
-    except ZeroDivisionError:
+        return Scalar(parse_rational(re_text or "0"), parse_rational(im_body))
+    except ValueError:
+        # the pattern has checked the grammar, so a part fails only on a
+        # zero denominator
         raise ValueError(f"zero denominator in scalar {text!r}") from None
-    return Scalar(re_part, im_part)
 
 
 def scalar_to_json(value: Scalar):
@@ -174,20 +186,6 @@ def scalar_to_json(value: Scalar):
     if not value.im:
         return str(value.re)
     return {"re": str(value.re), "im": str(value.im)}
-
-
-_JSON_REAL_RE = _re.compile(rf"[+-]?{_NUM}", _re.ASCII)
-
-
-def _real_from_json(data) -> Fraction:
-    # a real value is a string [+-]?\d+(/\d+)?; JSON numbers, floats,
-    # exponents and anything else are refused
-    if not isinstance(data, str) or _JSON_REAL_RE.fullmatch(data) is None:
-        raise ValueError(f"cannot read real value {data!r}; expected a string like '-3/4'")
-    try:
-        return Fraction(data)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {data!r}") from None
 
 
 def scalar_from_json(data) -> Scalar:
@@ -198,14 +196,12 @@ def scalar_from_json(data) -> Scalar:
     else raises ValueError.
     """
     if isinstance(data, str):
-        return Scalar(_real_from_json(data))
+        return Scalar(parse_rational(data))
     if isinstance(data, dict):
         extra = set(data) - {"re", "im"}
         if extra:
             raise ValueError(f"unexpected scalar keys {sorted(extra)}")
-        re_part = _real_from_json(data["re"]) if "re" in data else Fraction(0)
-        im_part = _real_from_json(data["im"]) if "im" in data else Fraction(0)
-        return Scalar(re_part, im_part)
+        return Scalar(parse_rational(data.get("re", "0")), parse_rational(data.get("im", "0")))
     raise ValueError(f"cannot read scalar from {data!r}")
 
 

@@ -3,7 +3,9 @@
 Every name a module lists in ``__all__`` exists there, so a star import
 works.  ``closed_forms`` and ``cochain`` import nothing from each other:
 the closed forms are the independent route the engine is checked
-against, and the engine takes none of them.
+against, and the engine takes none of them.  Only ``scalars`` and ``cli``
+import ``fractions``: the rest of the package reaches the rationals
+through ``scalars``.
 """
 
 import ast
@@ -30,26 +32,38 @@ def test_all_names_only_what_the_module_defines(name):
 
 
 def _imported_modules(name):
-    """The liecoh modules that a source file imports, by bare name."""
+    """The modules that a source file imports, by absolute name; the
+    package's own modules as ``liecoh.<name>``."""
     tree = ast.parse((SOURCE / f"{name}.py").read_text(encoding="utf-8"))
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("liecoh.")}
+            found |= {a.name for a in node.names}
         elif isinstance(node, ast.ImportFrom):
             base = node.module or ""
-            if node.level == 0 and base.startswith("liecoh."):
-                found.add(base.split(".")[1])
-            elif node.level == 0 and base == "liecoh" or node.level == 1 and not base:
-                found |= {a.name for a in node.names}
-            elif node.level == 1:
-                found.add(base.split(".")[0])
+            if node.level == 1:
+                base = f"liecoh.{base}" if base else "liecoh"
+            if base == "liecoh":
+                found |= {f"liecoh.{a.name}" for a in node.names}
+            else:
+                found.add(base)
     return found
 
 
+def _package_modules(name):
+    """The liecoh modules that a source file imports, by bare name."""
+    return {m.split(".")[1] for m in _imported_modules(name) if m.startswith("liecoh.")}
+
+
 def test_closed_forms_and_cochain_import_nothing_from_each_other():
-    assert "cochain" not in _imported_modules("closed_forms")
-    assert "closed_forms" not in _imported_modules("cochain")
+    assert "cochain" not in _package_modules("closed_forms")
+    assert "closed_forms" not in _package_modules("cochain")
     # the scan sees both import forms the package uses
-    assert {"errors", "scalars"} <= _imported_modules("closed_forms")
-    assert {"linalg", "exterior", "lie_algebra"} <= _imported_modules("cochain")
+    assert {"errors", "scalars"} <= _package_modules("closed_forms")
+    assert {"linalg", "exterior", "lie_algebra"} <= _package_modules("cochain")
+
+
+def test_only_scalars_and_cli_import_fractions():
+    # the engine works on Gaussian integers and scalars is their one edge
+    # to Scalars; cli draws seeded diamond parameters as Fractions
+    assert [name for name in MODULES if "fractions" in _imported_modules(name)] == ["cli", "scalars"]

@@ -55,9 +55,6 @@ def test_field_axioms_random():
         assert a + ZERO == a
         assert a * ONE == a
         assert a - a == ZERO
-        if a:
-            assert a / a == ONE
-            assert a * (ONE / a) == ONE
 
 
 def test_mixed_arithmetic_with_ints_and_fractions():
@@ -67,20 +64,7 @@ def test_mixed_arithmetic_with_ints_and_fractions():
     assert a * 2 == Scalar(1, 2)
     assert 2 * a == Scalar(1, 2)
     assert a - Fraction(1, 2) == Scalar(0, 1)
-    assert a / 2 == Scalar(Fraction(1, 4), Fraction(1, 2))
-
-
-def test_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        ONE / ZERO
-    with pytest.raises(ZeroDivisionError):
-        I / Scalar(0)
-
-
-def test_complex_division():
-    # (1+i)/(1-i) = i
-    assert Scalar(1, 1) / Scalar(1, -1) == I
-    assert I * I == Scalar(-1)
+    assert I * I == -1
 
 
 def test_str_grammar():
