@@ -153,9 +153,7 @@ def parse_rational(text) -> Fraction:
 
 # the real part must end the string or be followed by a signed imaginary
 # part, otherwise "2i" would split as re="2", im="i"
-_SCALAR_RE = _re.compile(
-    rf"^(?P<re>[+-]?{_NUM}(?=$|[+-]))?(?P<im>[+-]?(?:{_NUM})?i)?$", _re.ASCII
-)
+_SCALAR_RE = _re.compile(rf"(?P<re>[+-]?{_NUM}(?=$|[+-]))?(?P<im>[+-]?(?:{_NUM})?i)?", _re.ASCII)
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -165,7 +163,8 @@ def parse_scalar(text: str) -> Scalar:
     combinations such as ``1/2-3/4i``.  Raises ValueError on anything
     else (floats, empty strings and zero denominators included).
     """
-    match = _SCALAR_RE.match(text)
+    # fullmatch, since "$" also matches before a final newline
+    match = _SCALAR_RE.fullmatch(text)
     re_text, im_text = match.group("re", "im") if match else (None, None)
     if re_text is None and im_text is None:
         raise ValueError(f"cannot parse scalar {text!r}")

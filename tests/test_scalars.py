@@ -101,6 +101,8 @@ def test_parse_rejects_garbage():
         "", "1.5", "x", "1 + i", "i+1", "1/", "/2", "++1", "1+i+1", "1/0", "1-1/0i",
         # digits are ASCII only: ARABIC-INDIC TWO and THREE are refused
         "\u0662", "1/\u0663", "\u0662i",
+        # nothing may follow the scalar, not even a newline
+        "1\n", "2i\n",
     ):
         with pytest.raises(ValueError):
             parse_scalar(bad)
