@@ -66,4 +66,5 @@ def test_closed_forms_and_cochain_import_nothing_from_each_other():
 def test_only_scalars_and_cli_import_fractions():
     # the engine works on Gaussian integers and scalars is their one edge
     # to Scalars; cli draws seeded diamond parameters as Fractions
-    assert [name for name in MODULES if "fractions" in _imported_modules(name)] == ["cli", "scalars"]
+    importers = [name for name in MODULES if "fractions" in _imported_modules(name)]
+    assert importers == ["cli", "scalars"]
