@@ -20,8 +20,9 @@ by ``verify --input`` for an end-to-end recomputation check.
 
 Each option is declared once, in a table of flags and ``add_argument``
 keywords; ``main`` builds only the subcommand its first argument names
-(all six for help and usage errors) and writes the text its handler
-returns.  ``betti``, ``profile``, ``cocycles`` and ``diamond-b2`` hand
+(all six for help and usage errors), and writes the text its handler
+returns.  Each such parser is built once per process and reused by every
+later call.  ``betti``, ``profile``, ``cocycles`` and ``diamond-b2`` hand
 their JSON fields, csv rows and a table builder to one renderer,
 ``_emit``, which builds only the format asked for; ``export-matrix`` and
 ``verify`` accept ``--format`` and print their own text.  ``verify``
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -465,10 +467,18 @@ _COMMANDS = (
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The root parser with the subcommand named ``command``, or with all if it names none."""
+    """The root parser with the subcommand named ``command``, or with all if
+    it names none.  Each is built once per process and shared by every later
+    call, so callers parse with it and do not change it."""
+    return _parser(tuple(row for row in _COMMANDS if row[0] == command))
+
+
+# keyed by the chosen rows, not by the text, so every name outside the
+# table shares the full tree and the cache never holds more than seven
+@functools.cache
+def _parser(chosen: tuple) -> argparse.ArgumentParser:
     description = "Exact Lie algebra cohomology with trivial coefficients."
     parser = argparse.ArgumentParser(prog="liecoh", description=description)
-    chosen = [row for row in _COMMANDS if row[0] == command]
     # the root usage of a one-subcommand parser still lists every choice
     metavar = "{" + ",".join(row[0] for row in _COMMANDS) + "}" if chosen else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)

@@ -226,11 +226,13 @@ def parse_form(text: str, dim: int, names=None, degree=None) -> ExteriorForm:
     """Read a form from the text layout of the module docstring.
 
     Spaces around terms, terms in any order, repeated monomials (summed)
-    and a coefficient on any term, real or complex after either sign,
-    are also accepted; a rational part is ``[+-]?\\d+(/\\d+)?`` in ASCII
-    digits, read by ``scalars.parse_rational``.  ``degree`` is needed
-    only for the text "0"; when given it must match.  Names must be
-    unique.  Any other text raises ValueError.
+    and a coefficient on any term are also accepted.  A real coefficient
+    after a sign (a separator or a leading ``-``) is unsigned, since that
+    sign is the term's; every other rational part is
+    ``[+-]?\\d+(/\\d+)?`` in ASCII digits, read by
+    ``scalars.parse_rational``.  ``degree`` is needed only for the text
+    "0"; when given it must match.  Names must be unique.  Any other text
+    raises ValueError.
     """
     if names is None:
         names = default_names(dim)
@@ -243,7 +245,8 @@ def parse_form(text: str, dim: int, names=None, degree=None) -> ExteriorForm:
             raise ValueError("parsing '0' needs an explicit degree")
         return ExteriorForm.zero(dim, degree)
     pieces = _SEPARATOR.split(text.removeprefix("-"))
-    signs = ["-" if text.startswith("-") else "+", *pieces[1::2]]
+    # "" for a first term that has no sign of its own
+    signs = ["-" if text.startswith("-") else "", *pieces[1::2]]
     total: dict[tuple[int, ...], Scalar] = {}
     degrees = set()
     for sign, chunk in zip(signs, pieces[::2]):
@@ -255,6 +258,8 @@ def parse_form(text: str, dim: int, names=None, degree=None) -> ExteriorForm:
             rest = chunk[close + 1 :].strip()
         elif head in index_of or "^" in head:
             coeff, rest = ONE, chunk
+        elif sign and head.startswith(("+", "-")):
+            raise ValueError(f"signed coefficient {head!r} after the sign of its term")
         else:
             coeff, rest = Scalar(parse_rational(head)), tail.strip()
         key = tuple(index_of.get(name, -1) for name in rest.split("^")) if rest else ()

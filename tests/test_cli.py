@@ -5,13 +5,13 @@ import resource
 import shlex
 import subprocess
 import sys
-from argparse import Namespace
+from argparse import ArgumentParser, Namespace
 from pathlib import Path
 
 import pytest
 
 import liecoh
-from liecoh.cli import DEFAULT_SEED, _build_family, main
+from liecoh.cli import DEFAULT_SEED, _build_family, build_parser, main
 from liecoh.closed_forms import diamond_b2, lambda_classes
 from liecoh.errors import BadInput, UnknownFamily
 from liecoh.cochain import cohomology_representatives
@@ -208,6 +208,67 @@ def test_lambda_values_with_leading_dash(capsys):
     assert code == 0 and out.splitlines()[0] == "b2 = 3"
     code, out, _ = run(capsys, "diamond-b2", "--lambda=-1/2", "--lambda=1/2")
     assert code == 0 and out.splitlines()[0] == "b2 = 3"
+
+
+def run_fresh(capsys, *argv):
+    # the same command line through parsers built anew for it
+    liecoh.cli._parser.cache_clear()
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_keeps_no_appended_values(capsys):
+    run(capsys, "diamond-b2", "--lambda", "1", "--lambda", "2")
+    second = run(capsys, "diamond-b2", "--lambda", "3")
+    assert second == run_fresh(capsys, "diamond-b2", "--lambda", "3")
+    assert second[1].splitlines()[0] == "b2 = 0"
+
+
+def test_reused_parser_recovers_from_a_usage_error(capsys):
+    argv = ["profile", "--family", "heisenberg", "--m", "2"]
+    run_fresh(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "--family", "heisenberg", "--m", "x"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+    assert run(capsys, *argv) == run_fresh(capsys, *argv)
+
+
+def test_reused_parser_reads_the_terminal_width_when_it_writes_help(capsys, monkeypatch):
+    helps = {}
+    for columns in ("60", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit):
+            main(["betti", "--help"])
+        helps[columns] = capsys.readouterr().out
+        assert (0, helps[columns], "") == run_fresh(capsys, "betti", "--help")
+    assert helps["60"] != helps["120"]
+
+
+def test_each_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    liecoh.cli._parser.cache_clear()
+    monkeypatch.setattr(ArgumentParser, "__init__", spy)
+    argv = ["betti", "--family", "aff", "--degree", "1"]
+    run(capsys, *argv)
+    assert built == ["liecoh", "liecoh betti"]
+    run(capsys, *argv)
+    run(capsys, *argv)
+    assert built == ["liecoh", "liecoh betti"]
+    run(capsys, "profile", "--family", "aff")
+    assert built[2:] == ["liecoh", "liecoh profile"]
+    # every first token outside the table shares the one full tree
+    assert build_parser("nope") is build_parser("-h") is build_parser()
 
 
 def test_verify_default_sweep(capsys):

@@ -6,7 +6,9 @@ is 0, 1 or 2 (argparse's ``SystemExit(2)`` counts as 2), nothing but
 ``SystemExit`` escapes, and stderr holds no traceback.  Every algebra
 that ``profile --format json`` accepts round-trips through ``verify
 --input``.  The parser that ``main`` builds for one subcommand parses
-every mutated argv as the parser of all six does.
+every mutated argv as the parser of all six does.  Both are the parsers
+``main`` builds once per process and reuses, so each comparison after
+the first also runs a parser that earlier argv lists have been through.
 """
 
 import copy

@@ -223,12 +223,14 @@ def test_parse_examples():
     assert w4.terms == {(0, 1): ONE}
     with pytest.raises(ValueError):
         parse_form("a", 2, names=["a", "a"])
-    # zero denominators, monomials out of order and coefficients outside
+    # zero denominators, monomials out of order, coefficients outside
     # the rational grammar (exponents, decimals, underscores, non-ASCII
-    # digits) are malformed text too
+    # digits) and a real coefficient signed after its term's sign are
+    # malformed text too
     for text in (
         "9/0 e0", "(1 + 2/0 i) e0", "e1^e0", "e0^e0",
         "2e0", "1_0 e0", "1.5 e0", "(1.5 + 1_0 i) e0", "\u0662 e0",
+        "--2 e0", "-+2 e0", "e0 - -2 e1", "- -2 e0",
     ):
         with pytest.raises(ValueError):
             parse_form(text, 2)
