@@ -97,9 +97,13 @@ vector is padded with zeros.
 representatives would be wedge products of the factors' forms, not the
 forms it returns.
 
-``LieAlgebra._expand_d`` walks monomials through the algebra's table of
-D d(e_l*), D the lcm of the structure constants' denominators, and
-yields each image D d(w) as nonzero Gaussian integers
+The engine reads one table: ``LieAlgebra._table``, the structure
+constants times D, the lcm of their denominators, as Gaussian integers
+keyed (a, b) -> {l: (re, im)} like ``brackets``.  ``_blocks`` gives each
+factor its slice of it, and a factor's weights, torus and bracket test
+read that slice alone.  ``LieAlgebra._expand_d`` walks monomials
+through D d(e_l*) = -sum D c^l_ab e_a* ^ e_b* taken from the table,
+and yields each image D d(w) as nonzero Gaussian integers
 ``{mask: (re, im)}`` keyed by target bitmask.  ``coboundary_matrix``
 files them into the rows of D d_k under those masks, and the exact
 forms are the images that grow a span.  Neither D nor the row keys
@@ -248,33 +252,32 @@ def _monomials(indices, k: int):
     return zip(combinations(indices, k), map(sum, combinations(bits, k)))
 
 
-def _weights(algebra: LieAlgebra) -> tuple[dict[int, int], set[int], set[int]]:
-    """The nonzero joint weights of the basis indices, the indices p with
-    tr ad(e_p) nonzero (the algebra is unimodular when there are none),
-    and the indices p with ad(e_p) diagonal and nonzero.
+def _weights(table, dim: int) -> tuple[dict[int, int], set[int], set[int]]:
+    """The nonzero joint weights of the indices in ``table``, the indices
+    p with tr ad(e_p) nonzero (unimodular when there are none), and the
+    indices p with ad(e_p) diagonal and nonzero.
 
-    ad(e_p) is diagonal when every bracket [e_p, e_q] is w_p(q) e_q; the
-    joint weight of e_q lists D w_p(q) over those p that have a nonzero
+    ``table`` is the algebra's integer table {(a, b): {l: D c^l_ab}} or
+    one factor's slice of it, on a basis of dimension ``dim``.  ad(e_p)
+    is diagonal when every bracket [e_p, e_q] is w_p(q) e_q; the joint
+    weight of e_q lists D w_p(q) over those p that have a nonzero
     weight, real and imaginary parts apart.  Each list is packed into
-    one integer in balanced base B, B more than 2n times the largest
-    component, so a sum of at most n weights is 0 exactly when every
+    one integer in balanced base B, B more than 2 dim times the largest
+    component, so a sum of at most dim weights is 0 exactly when every
     component of it is.  tr ad(e_p) sums D w_p(q) over the brackets
-    along e_q whether or not ad(e_p) is diagonal.  Both come from the
-    table of D d(e_l*) in one pass over the brackets.
+    along e_q whether or not ad(e_p) is diagonal.  Both come from one
+    pass over ``table``.
     """
     # along[p][q] = D w when [e_p, e_q] has the term w e_q
     along: dict[int, dict[int, tuple[int, int]]] = {}
     mixed = set()
-    for l, terms in algebra._dual.items():
-        for pair, _, re, im in terms:
-            # the term -D c^l_ab e_a* ^ e_b* of D d(e_l*), with [e_a, e_b] = c e_l
-            a = (pair & -pair).bit_length() - 1
-            b = pair.bit_length() - 1
+    for (a, b), vector in table.items():
+        for l, (re, im) in vector.items():
             if l == b:
-                along.setdefault(a, {})[b] = (-re, -im)
+                along.setdefault(a, {})[b] = (re, im)
                 mixed.add(b)
             elif l == a:
-                along.setdefault(b, {})[a] = (re, im)
+                along.setdefault(b, {})[a] = (-re, -im)
                 mixed.add(a)
             else:
                 mixed.update((a, b))
@@ -284,7 +287,7 @@ def _weights(algebra: LieAlgebra) -> tuple[dict[int, int], set[int], set[int]]:
         if sum(re for re, _ in row.values()) or sum(im for _, im in row.values())
     }
     diagonal = [p for p in sorted(along) if p not in mixed]
-    base = 2 * algebra.dim * max(
+    base = 2 * dim * max(
         (abs(x) for p in diagonal for w in along[p].values() for x in w), default=0
     ) + 1
     weights: dict[int, int] = {}
@@ -432,16 +435,18 @@ class BettiProfile:
         return cls(n=n, ranks=tuple(ranks))
 
 
-def _blocks(algebra: LieAlgebra) -> tuple[list[list[int]], int]:
-    """The index sets of the non-abelian direct-sum factors, each
-    increasing, and the dimension of the abelian factor.
+def _blocks(algebra: LieAlgebra) -> tuple[list[tuple[list[int], dict]], int]:
+    """The non-abelian direct-sum factors, each as its increasing
+    indices and its slice of the algebra's integer table, and the
+    dimension of the abelian factor.
 
     Indices i, j and l are joined whenever c^l_ij is nonzero.  Each
     connected component spans an ideal, and the algebra is their direct
-    sum with the span of the indices in no bracket.
+    sum with the span of the indices in no bracket.  A bracket [e_i, e_j]
+    joins i and j, so it is filed under the factor of i.
     """
     block_of: dict[int, list[int]] = {}
-    for (i, j), vector in algebra.brackets.items():
+    for (i, j), vector in algebra._table.items():
         block = block_of.setdefault(i, [i])
         for q in (j, *vector):
             other = block_of.get(q)
@@ -456,8 +461,12 @@ def _blocks(algebra: LieAlgebra) -> tuple[list[list[int]], int]:
                 block.extend(other)
                 for r in other:
                     block_of[r] = block
-    blocks = {id(block): block for block in block_of.values()}
-    return sorted(map(sorted, blocks.values())), algebra.dim - len(block_of)
+    factors: dict[int, tuple[list[int], dict]] = {}
+    for pair, vector in algebra._table.items():
+        block = block_of[pair[0]]
+        factors.setdefault(id(block), (block, {}))[1][pair] = vector
+    blocks = sorted((sorted(block), table) for block, table in factors.values())
+    return blocks, algebra.dim - len(block_of)
 
 
 def _convolve(a, b, top: int | None = None) -> list[int]:
@@ -503,9 +512,9 @@ def _times(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
-def _bracket_form(brackets: dict[int, dict[int, tuple[int, int]]]):
-    """(z, omega, central) when the ``brackets`` {pair: {l: (re, im)}} are
-    all multiples of one vector z, else None.
+def _bracket_form(brackets: dict[tuple[int, int], dict[int, tuple[int, int]]]):
+    """(z, omega, central) when the ``brackets`` {(a, b): {l: (re, im)}}
+    are all multiples of one vector z, else None.
 
     z is the first bracket read.  A bracket v is a multiple of z when it
     has z's support and v_l z_f = v_f z_l at every index l of it, f
@@ -518,14 +527,12 @@ def _bracket_form(brackets: dict[int, dict[int, tuple[int, int]]]):
     first = next(iter(z))
     # omega[a][b] = omega_ab, both signs
     omega: dict[int, dict[int, tuple[int, int]]] = {}
-    for pair, v in brackets.items():
+    for (a, b), v in brackets.items():
         w = v.get(first)
         if v.keys() != z.keys() or any(
             _times(x, z[first]) != _times(w, z[l]) for l, x in v.items()
         ):
             return None
-        a = (pair & -pair).bit_length() - 1
-        b = pair.bit_length() - 1
         omega.setdefault(a, {})[b] = w
         omega.setdefault(b, {})[a] = (-w[0], -w[1])
     for row in omega.values():
@@ -549,9 +556,10 @@ def _subset_counts(values, top: int) -> dict[tuple[int, int], int]:
     return counts
 
 
-def _counted_betti(brackets, ideal, weights: dict[int, int], top: int) -> list[int] | None:
-    """c_0..c_top of the n spanned by ``ideal`` with these ``brackets``
-    when the module docstring counts it with no matrix, else None.
+def _counted_betti(table, ideal, weights: dict[int, int], top: int) -> list[int] | None:
+    """c_0..c_top of the n spanned by ``ideal``, ``table`` its slice of
+    the integer table, when the module docstring counts it with no
+    matrix, else None.
 
     N_j(nu) meets tables of the two halves of V by size and packed
     weight.  c_k reads N_j for j <= k + 1, and N_{top+1} only when
@@ -560,8 +568,8 @@ def _counted_betti(brackets, ideal, weights: dict[int, int], top: int) -> list[i
     """
     values = [weights.get(q, 0) for q in ideal]
     d = len(ideal)
-    if brackets:
-        form = _bracket_form(brackets)
+    if table:
+        form = _bracket_form(table)
         if form is None:
             return None
         z, omega, central = form
@@ -595,7 +603,7 @@ def _counted_betti(brackets, ideal, weights: dict[int, int], top: int) -> list[i
         return out
 
     c = count(0)
-    if brackets:
+    if table:
         # N_k(0) - N_{k-2}(-mu_z) is c_k up to the middle and -c_{k-1} above it
         above = [0, 0] + count(-mu_z)
         primitive = [x - y for x, y in zip(c, above)]
@@ -613,37 +621,25 @@ def _split_betti(algebra: LieAlgebra, low: int, high: int) -> list[int]:
     """
     n = algebra.dim
     blocks, free = _blocks(algebra)
-    weights, nonzero_trace, diagonal = _weights(algebra)
     out = [1]
-    for block in blocks:
-        # brackets[pair][l]: the Gaussian integer -D c^l_ab, pair the mask of {a, b}
-        brackets: dict[int, dict[int, tuple[int, int]]] = {}
-        for l in block:
-            for pair, _, re, im in algebra._dual.get(l, ()):
-                brackets.setdefault(pair, {})[l] = (re, im)
+    for block, table in blocks:
+        weights, nonzero_trace, torus = _weights(table, n)
         ideal = block
-        torus = diagonal.intersection(block)
-        if torus and all(torus.isdisjoint(v) for v in brackets.values()):
+        if torus and all(torus.isdisjoint(v) for v in table.values()):
             free += len(torus)
             ideal = [q for q in block if q not in torus]
-            mask = sum(1 << p for p in torus)
-            brackets = {pair: v for pair, v in brackets.items() if not pair & mask}
-        part = _counted_betti(brackets, ideal, weights, high)
+            table = {pair: v for pair, v in table.items() if torus.isdisjoint(pair)}
+        part = _counted_betti(table, ideal, weights, high)
         if part is None:
             d = len(ideal)
             first = max(0, low - (n - d))
             degrees = range(first, min(high, d) + 1)
-            unimodular = nonzero_trace.isdisjoint(block)
             # d on n's weight-0 cochains has no t* term, so a split-off t
             # is left out of the brackets d is assembled from
             source = algebra
             if ideal is not block:
-                members = set(ideal)
-                source = LieAlgebra(n, {
-                    (a, b): v for (a, b), v in algebra.brackets.items()
-                    if a in members and b in members
-                })
-            part = [0] * first + _reduced_betti(source, ideal, weights, unimodular, degrees)
+                source = LieAlgebra(n, {pair: algebra.brackets[pair] for pair in table})
+            part = [0] * first + _reduced_betti(source, ideal, weights, not nonzero_trace, degrees)
         out = _convolve(out, part, high)
     out = _convolve(out, [comb(free, j) for j in range(min(high, free) + 1)], high)
     return out[low : high + 1]
@@ -671,12 +667,7 @@ def cocycle_basis(algebra: LieAlgebra, k: int) -> list[ExteriorForm]:
     n = algebra.dim
     if not (0 <= k <= n):
         raise DegreeOutOfRange(f"degree {k} outside 0..{n}")
-    matrix = coboundary_matrix(algebra, k)
-    monomials = basis(n, k)
-    return [
-        _form_from_vector(n, k, monomials, vec)
-        for vec in linalg.kernel_basis(list(matrix.int_rows.values()), matrix.cols)
-    ]
+    return _kernel_forms(coboundary_matrix(algebra, k), basis(n, k))
 
 
 def coboundary_basis(algebra: LieAlgebra, k: int) -> list[ExteriorForm]:
@@ -715,7 +706,7 @@ def cohomology_representatives(algebra: LieAlgebra, k: int) -> list[ExteriorForm
     n = algebra.dim
     if not (0 <= k <= n):
         raise DegreeOutOfRange(f"degree {k} outside 0..{n}")
-    cochains = _WeightZero(range(n), _weights(algebra)[0], k)
+    cochains = _WeightZero(range(n), _weights(algebra._table, n)[0], k)
     monomials = list(cochains.monomials(k))
     negated = {mask: -c for c, (_, mask) in enumerate(monomials)}
     exact = linalg.SpanBuilder()
@@ -724,13 +715,13 @@ def cohomology_representatives(algebra: LieAlgebra, k: int) -> list[ExteriorForm
             exact.add({negated[mask]: value for mask, value in image.items()})
     leading = exact.leading_columns
     kept = [m for c, m in enumerate(monomials) if -c not in leading]
-    matrix = coboundary_matrix(algebra, k, kept)
-    keys = [key for key, _ in kept]
+    return _kernel_forms(coboundary_matrix(algebra, k, kept), [key for key, _ in kept])
+
+
+def _kernel_forms(matrix: CoboundaryMatrix, keys) -> list[ExteriorForm]:
+    """The kernel basis of ``matrix`` as forms, column c standing for the
+    monomial ``keys[c]``."""
     return [
-        _form_from_vector(n, k, keys, vec)
+        ExteriorForm(matrix.dim, matrix.degree, {keys[c]: value for c, value in vec.items()})
         for vec in linalg.kernel_basis(list(matrix.int_rows.values()), matrix.cols)
     ]
-
-
-def _form_from_vector(n, k, monomials, vector) -> ExteriorForm:
-    return ExteriorForm(n, k, {monomials[i]: value for i, value in vector.items()})

@@ -3,8 +3,9 @@
 An algebra is a dimension n, a sparse bracket table storing [e_i, e_j]
 for i < j as a coefficient vector over the basis, and optional basis
 labels.  Construction scales the structure constants by D, the lcm of
-their denominators, into the Gaussian-integer terms of D d(e_l*) that
-the cochain engine assembles from.  The coefficient of e_i*^e_j*^e_k*
+their denominators, into the integer table that the cochain engine
+reads: the Gaussian integers D c^l_ij, keyed (i, j) -> {l: (re, im)}
+like the bracket table.  The coefficient of e_i*^e_j*^e_k*
 in d(d e_l*) is entry l of [[e_i,e_j],e_k] + [[e_j,e_k],e_i] +
 [[e_k,e_i],e_j], so construction checks the Jacobi identity as d∘d = 0
 on that table, at a cost set by the brackets and not by n.  An instance
@@ -60,7 +61,7 @@ class LieAlgebra:
     is recovered by antisymmetry.
     """
 
-    __slots__ = ("dim", "brackets", "labels", "_denominator", "_dual")
+    __slots__ = ("dim", "brackets", "labels", "_denominator", "_table")
 
     def __init__(self, dim: int, brackets, labels=None):
         if not isinstance(dim, int) or dim < 0:
@@ -83,19 +84,13 @@ class LieAlgebra:
             if clean:
                 table[(i, j)] = clean
         scale = denominator(c for vector in table.values() for c in vector.values())
-        # a term of D d(e_l*) is (pair, between, re, im): the bitmask of
-        # {a, b}, the bitmask of a..b-1 and the Gaussian integer -D c^l_ab
-        dual: dict[int, list[tuple[int, int, int, int]]] = {}
-        for (a, b), vector in table.items():
-            pair = (1 << a) | (1 << b)
-            between = (1 << b) - (1 << a)
-            for l, c in vector.items():
-                re, im = c.scaled(scale)
-                dual.setdefault(l, []).append((pair, between, -re, -im))
         self.dim = dim
         self.brackets = table
         self._denominator = scale
-        self._dual = dual
+        self._table = {
+            pair: {l: c.scaled(scale) for l, c in vector.items()}
+            for pair, vector in table.items()
+        }
         if labels is not None:
             labels = tuple(str(name) for name in labels)
             if len(labels) != dim:
@@ -124,7 +119,14 @@ class LieAlgebra:
     def _expand_d(self, monomials):
         """Yield D d(w) as {mask: (re, im)}, zeros dropped, for each monomial
         w given as (key, mask): its increasing indices and their bitmask."""
-        dual = self._dual
+        # a term of D d(e_l*) is (pair, between, re, im): the bitmask of
+        # {a, b}, the bitmask of a..b-1 and the Gaussian integer -D c^l_ab
+        dual: dict[int, list[tuple[int, int, int, int]]] = {}
+        for (a, b), vector in self._table.items():
+            pair = (1 << a) | (1 << b)
+            between = (1 << b) - (1 << a)
+            for l, (re, im) in vector.items():
+                dual.setdefault(l, []).append((pair, between, -re, -im))
         for key, mask in monomials:
             image: dict[int, tuple[int, int]] = {}
             for position, l in enumerate(key):
@@ -150,25 +152,23 @@ class LieAlgebra:
 
     def _check_jacobi(self) -> None:
         # D**2 d(d e_l*) sums D d(e_a* ^ e_b*) times the terms -D c^l_ab of
-        # D d(e_l*); failures maps a triple's mask to {l: nonzero sum}
-        masks = [(1 << a) | (1 << b) for a, b in self.brackets]
-        images = dict(zip(masks, self._expand_d(zip(self.brackets, masks))))
-        failures: dict[int, dict[int, tuple[int, int]]] = {}
-        for l, terms in self._dual.items():
-            total: dict[int, tuple[int, int]] = {}
-            for pair, _, re, im in terms:
-                for target, (x, y) in images[pair].items():
-                    old_re, old_im = total.get(target, (0, 0))
-                    total[target] = (old_re + re * x - im * y, old_im + re * y + im * x)
-            for target, value in total.items():
-                if value != (0, 0):
-                    failures.setdefault(target, {})[l] = value
+        # D d(e_l*); total maps (a triple's mask, l) to that sum
+        table = self._table
+        masks = [(1 << a) | (1 << b) for a, b in table]
+        total: dict[tuple[int, int], tuple[int, int]] = {}
+        for vector, image in zip(table.values(), self._expand_d(zip(table, masks))):
+            for l, (re, im) in vector.items():
+                for target, (x, y) in image.items():
+                    old_re, old_im = total.get((target, l), (0, 0))
+                    total[target, l] = (old_re - re * x + im * y, old_im - re * y - im * x)
+        failures = {target for (target, _), value in total.items() if value != (0, 0)}
         if failures:
             first = min(failures, key=_indices)
             scale = self._denominator ** 2
             residual = [ZERO] * self.dim
-            for l, (re, im) in failures[first].items():
-                residual[l] = Scalar.from_gaussian(re, im, scale)
+            for (target, l), (re, im) in total.items():
+                if target == first:
+                    residual[l] = Scalar.from_gaussian(re, im, scale)
             raise JacobiViolation(_indices(first), residual)
 
     def label(self, index: int) -> str:
@@ -283,10 +283,12 @@ def change_basis(algebra: LieAlgebra, matrix) -> LieAlgebra:
     """Structure constants in the basis f_p = sum_l matrix[l][p] e_l.
 
     The result is validated like any other construction; a change of
-    basis of a Lie algebra always passes.  ValueError if matrix is
-    singular.
+    basis of a Lie algebra always passes.  DimensionMismatch unless the
+    matrix is dim x dim, ValueError if it is singular.
     """
     n = algebra.dim
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise DimensionMismatch(f"change of basis needs a {n} x {n} matrix")
     cols = [[Scalar.coerce(matrix[l][p]) for l in range(n)] for p in range(n)]
     inverse = linalg.inverse(matrix)
     table: dict[tuple[int, int], dict[int, Scalar]] = {}

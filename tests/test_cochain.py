@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, zip_longest
+from itertools import combinations, permutations, zip_longest
 from math import comb
 
 import pytest
@@ -256,8 +256,11 @@ def test_denominator_clears_every_structure_constant():
 
 
 def test_rank_path_builds_no_scalar(monkeypatch):
+    # the graded filiforms split off a torus and eliminate the ideal,
+    # rebuilt from the brackets on its own indices
     algebras = [heisenberg(3), _random_gaussian_diamond(random.Random(5)),
-                _random_dense_image(random.Random(6))]
+                _random_dense_image(random.Random(6)), _graded_filiform(1, -1),
+                _graded_filiform_torus(6, [(1, -2), (1, 3)])]
     expected = [betti_profile(g) for g in algebras]
     created = []
     original = Scalar.__init__
@@ -821,3 +824,53 @@ def test_equal_unit_weights_match_the_full_complex(seed):
         assert betti_profile(g) == full
         if lam in fixed:
             assert full.b == (1, 1, 9, 9, 8, 16, 8, 9, 9, 1, 1)
+
+
+def _upper_triangular(r, torus=False):
+    # n_r, the strictly upper-triangular r x r matrices, on the basis E_ij
+    # (i < j) in lexicographic order, with [E_ij, E_kl] = d_jk E_il - d_li E_kj;
+    # with ``torus``, b_r = t + n_r, t spanned by H_p = E_pp - E_{p+1,p+1}
+    # on indices 0..r-2 ahead of them, [H_p, E_jk] = (h_p(j) - h_p(k)) E_jk
+    roots = list(combinations(range(r), 2))
+    h = r - 1 if torus else 0
+    index = {root: h + p for p, root in enumerate(roots)}
+    brackets = {}
+    for (i, j), (k, l) in combinations(roots, 2):
+        if j == k:
+            brackets[(index[(i, j)], index[(k, l)])] = {index[(i, l)]: 1}
+        elif l == i:
+            brackets[(index[(i, j)], index[(k, l)])] = {index[(k, j)]: -1}
+    for p in range(h):
+        diagonal = [1 if q == p else -1 if q == p + 1 else 0 for q in range(r)]
+        for j, k in roots:
+            if diagonal[j] != diagonal[k]:
+                brackets[(p, index[(j, k)])] = {index[(j, k)]: diagonal[j] - diagonal[k]}
+    return LieAlgebra(h + len(roots), brackets)
+
+
+def _mahonian(r):
+    # the number of permutations of r letters with k inversions, k = 0..C(r, 2)
+    counts = [0] * (comb(r, 2) + 1)
+    for perm in permutations(range(r)):
+        counts[sum(x > y for x, y in combinations(perm, 2))] += 1
+    return tuple(counts)
+
+
+def test_kostant_counts_for_upper_triangular_algebras():
+    # Kostant (Ann. Math. 74, 1961): H^k(n_r) has one weight space for each
+    # permutation of length k, and only the identity has weight 0, so
+    # H*(b_r) = Lambda t* and b_k(b_r) = C(r - 1, k).  An answer from
+    # outside the engine for a family the paper does not cover; b_r splits
+    # its torus off and eliminates the rebuilt ideal n_r
+    rng = random.Random(102)
+    assert _mahonian(4) == (1, 3, 5, 6, 5, 3, 1)
+    for r in range(3, 7):
+        nilpotent, borel = _upper_triangular(r), _upper_triangular(r, torus=True)
+        binomials = tuple(comb(r - 1, k) for k in range(borel.dim + 1))
+        for g, b in ((nilpotent, _mahonian(r)), (borel, binomials)):
+            assert betti_profile(g).b == b
+            assert betti_profile(_monomial_image(rng, g)).b == b
+    for g in (_upper_triangular(4), _upper_triangular(3, torus=True)):
+        h = _dense_image(rng, g)
+        assert betti_profile(h) == _full_complex_profile(h)
+        assert betti_profile(h).b == betti_profile(g).b

@@ -204,6 +204,19 @@ def test_change_basis_scaling():
     assert h2.brackets == {(0, 1): {0: -ONE}}
 
 
+def test_change_basis_refuses_a_matrix_of_the_wrong_size():
+    # heisenberg(1) has dimension 3: an invertible 4 x 4 matrix must not be
+    # read through its top-left block, nor a 2 x 2 one run off its end
+    g = heisenberg(1)
+    for size in (4, 2):
+        S = [[ONE if p == q else ZERO for q in range(size)] for p in range(size)]
+        with pytest.raises(DimensionMismatch):
+            change_basis(g, S)
+    # a ragged matrix with three rows is refused too
+    with pytest.raises(DimensionMismatch):
+        change_basis(g, [[ONE, ZERO, ZERO], [ZERO, ONE], [ZERO, ZERO, ONE]])
+
+
 def test_change_basis_preserves_invariants():
     rng = random.Random(13)
     for base in (aff_r(), heisenberg(1), heisenberg(2), diamond([1])[0]):

@@ -5,7 +5,8 @@ works.  ``closed_forms`` and ``cochain`` import nothing from each other:
 the closed forms are the independent route the engine is checked
 against, and the engine takes none of them.  Only ``scalars`` and ``cli``
 import ``fractions``: the rest of the package reaches the rationals
-through ``scalars``.
+through ``scalars``.  Of an algebra's private state ``cochain`` reads
+only the integer table, its denominator and the expansion of d.
 """
 
 import ast
@@ -68,3 +69,15 @@ def test_only_scalars_and_cli_import_fractions():
     # to Scalars; cli draws seeded diamond parameters as Fractions
     importers = [name for name in MODULES if "fractions" in _imported_modules(name)]
     assert importers == ["cli", "scalars"]
+
+
+def test_cochain_reads_only_the_integer_table_of_an_algebra():
+    # the engine's one view of an algebra is its integer table, the
+    # denominator that scales it and the expansion of d built from it
+    tree = ast.parse((SOURCE / "cochain.py").read_text(encoding="utf-8"))
+    private = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+    }
+    assert private == {"_table", "_denominator", "_expand_d"}
