@@ -104,6 +104,64 @@ MUTANTS = (
         ("tests/test_cochain.py::test_line_factors_match_the_full_complex",),
     ),
     Mutant(
+        "reduce-hits-read-once",
+        "linalg.py",
+        "    while hits := row.keys() & pivots.keys():\n        col = min(hits)\n",
+        "    for col in sorted(row.keys() & pivots.keys()):\n",
+        "elimination: the pivot columns a row meets, found again after each step",
+        ("tests/test_linalg.py::test_rref_idempotent_and_pivots_sorted",),
+    ),
+    Mutant(
+        "rref-skip-inverted",
+        "linalg.py",
+        "row if pivots.keys().isdisjoint(row) else _reduce(row, pivots)",
+        "row if not pivots.keys().isdisjoint(row) else _reduce(row, pivots)",
+        "rref back-substitution: rows with no entry in another pivot column",
+        ("tests/test_linalg.py::test_rref_idempotent_and_pivots_sorted",),
+    ),
+    Mutant(
+        "strip-one-entry-row-unchanged",
+        "linalg.py",
+        "        return {c: (1, 0) for c in row}",
+        "        return row",
+        "elimination: the primitive multiple of a one-entry row",
+        # no rank, kernel or span changes, but a one-entry row left by a
+        # reduction keeps the size of its cross-multiplied entry
+        ("tests/test_linalg.py::test_pivot_rows_stay_within_the_hadamard_bound",),
+    ),
+    Mutant(
+        "expand-d-active-from-pairs",
+        "lie_algebra.py",
+        "                active |= 1 << l\n",
+        "                active |= pair\n",
+        "assembly of D d_k: monomials with no index l where d(e_l*) != 0",
+        ("tests/test_cochain.py::test_assembly_columns_match_apply_coboundary",),
+    ),
+    Mutant(
+        "form-key-last-index-may-equal-dim",
+        "exterior.py",
+        "0 <= key[0] and key[-1] < dim",
+        "0 <= key[0] and key[-1] <= dim",
+        "ExteriorForm keys: the range of an increasing key read from its ends",
+        ("tests/test_exterior.py::test_constructor_validation",),
+    ),
+    Mutant(
+        "format-space-without-coefficient",
+        "exterior.py",
+        '" " if coeff and monomial else ""',
+        '" " if monomial else ""',
+        "form text: the space between a coefficient and its monomial",
+        ("tests/test_exterior.py::test_format_examples",),
+    ),
+    Mutant(
+        "rational-sign-outside-the-group",
+        "scalars.py",
+        'r"([+-]?\\d+)(?:/(\\d+))?"',
+        'r"[+-]?(\\d+)(?:/(\\d+))?"',
+        "rational text read from the groups of its pattern",
+        ("tests/test_scalars.py::test_parse_rational_matches_the_stdlib_reader_random",),
+    ),
+    Mutant(
         "blocks-file-by-second-index",
         "cochain.py",
         "        block = block_of[pair[0]]",

@@ -51,7 +51,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 from math import comb
 
 from . import closed_forms, cochain, exterior, lie_algebra
@@ -306,11 +305,12 @@ def _random_lambda(rng: random.Random) -> list[Scalar]:
     out = []
     for _ in range(n):
         while True:
-            re = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
-            im = Fraction(0)
+            # (re/a) + (im/b) i, drawn in this order
+            re, a = rng.randint(-4, 4), rng.choice((1, 1, 2, 3))
+            im, b = 0, 1
             if rng.random() < 0.25:
-                im = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
-            value = Scalar(re, im)
+                im, b = rng.randint(-3, 3), rng.choice((1, 2))
+            value = Scalar.from_gaussian(re * b, im * a, a * b)
             if value:
                 out.append(value)
                 break

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from itertools import combinations
+from operator import lt
 
 from .errors import DegreeOutOfRange, DegreeZero, DimensionMismatch
 from .scalars import ONE, ZERO, Scalar, parse_rational
@@ -62,9 +63,10 @@ class ExteriorForm:
                 raise DegreeOutOfRange(
                     f"key {key} has length {len(key)} in a degree-{degree} form"
                 )
-            if any(not (0 <= i < dim) for i in key):
-                raise DimensionMismatch(f"key {key} outside dimension {dim}")
-            if any(a >= b for a, b in zip(key, key[1:])):
+            # a strictly increasing key lies in range when its ends do
+            if key and not (all(map(lt, key, key[1:])) and 0 <= key[0] and key[-1] < dim):
+                if any(not (0 <= i < dim) for i in key):
+                    raise DimensionMismatch(f"key {key} outside dimension {dim}")
                 raise DimensionMismatch(f"key {key} is not strictly increasing")
             coeff = Scalar.coerce(value)
             if coeff:
@@ -190,10 +192,10 @@ def format_form(w: ExteriorForm, names=None) -> str:
         raise DimensionMismatch(f"{len(names)} names for dimension {w.dim}")
     if not w.terms:
         return "0"
-    rendered = ""
+    rendered = []
     for key in sorted(w.terms):
         value = w.terms[key]
-        monomial = "^".join(names[i] for i in key)
+        monomial = "^".join([names[i] for i in key])
         if value.im:
             sign = " + "
             coeff = f"({value.re} {'+' if value.im > 0 else '-'} {abs(value.im)} i)"
@@ -203,8 +205,9 @@ def format_form(w: ExteriorForm, names=None) -> str:
             coeff = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             if coeff == "1" and monomial:
                 coeff = ""
-        rendered += sign + " ".join(filter(None, (coeff, monomial)))
-    return rendered[3:] if rendered.startswith(" + ") else "-" + rendered[3:]
+        rendered += sign, coeff, " " if coeff and monomial else "", monomial
+    text = "".join(rendered)
+    return text[3:] if rendered[0] == " + " else "-" + text[3:]
 
 
 # " + " or " - " between terms: not inside a parenthesised coefficient,

@@ -120,15 +120,21 @@ class LieAlgebra:
         """Yield D d(w) as {mask: (re, im)}, zeros dropped, for each monomial
         w given as (key, mask): its increasing indices and their bitmask."""
         # a term of D d(e_l*) is (pair, between, re, im): the bitmask of
-        # {a, b}, the bitmask of a..b-1 and the Gaussian integer -D c^l_ab
+        # {a, b}, the bitmask of a..b-1 and the Gaussian integer -D c^l_ab;
+        # active is the bitmask of the l with d(e_l*) != 0
         dual: dict[int, list[tuple[int, int, int, int]]] = {}
+        active = 0
         for (a, b), vector in self._table.items():
             pair = (1 << a) | (1 << b)
             between = (1 << b) - (1 << a)
             for l, (re, im) in vector.items():
                 dual.setdefault(l, []).append((pair, between, -re, -im))
+                active |= 1 << l
         for key, mask in monomials:
             image: dict[int, tuple[int, int]] = {}
+            if not mask & active:
+                yield image
+                continue
             for position, l in enumerate(key):
                 if l not in dual:
                     continue
@@ -289,21 +295,34 @@ def change_basis(algebra: LieAlgebra, matrix) -> LieAlgebra:
     n = algebra.dim
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise DimensionMismatch(f"change of basis needs a {n} x {n} matrix")
-    cols = [[Scalar.coerce(matrix[l][p]) for l in range(n)] for p in range(n)]
-    inverse = linalg.inverse(matrix)
+
+    def columns(rows):
+        # the nonzero entries of each column, keyed by row
+        return [
+            {l: v for l, row in enumerate(rows) if (v := Scalar.coerce(row[p]))}
+            for p in range(n)
+        ]
+
+    cols, inverse = columns(matrix), columns(linalg.inverse(matrix))
     table: dict[tuple[int, int], dict[int, Scalar]] = {}
     for p in range(n):
         for q in range(p + 1, n):
-            old_coords = algebra.bracket_vectors(cols[p], cols[q])
+            # [f_p, f_q] in the old basis from the brackets its columns
+            # meet, then in the new one; the constructor drops the zeros
+            old = {}
+            for i, x in cols[p].items():
+                for j, y in cols[q].items():
+                    bracket = algebra.brackets.get((i, j) if i < j else (j, i))
+                    if bracket:
+                        product = x * y if i < j else -(x * y)
+                        for l, c in bracket.items():
+                            old[l] = old.get(l, ZERO) + product * c
             vector = {}
-            for l in range(n):
-                value = ZERO
-                for s in range(n):
-                    value = value + inverse[l][s] * old_coords[s]
+            for s, value in old.items():
                 if value:
-                    vector[l] = value
-            if vector:
-                table[(p, q)] = vector
+                    for l, v in inverse[s].items():
+                        vector[l] = vector.get(l, ZERO) + v * value
+            table[(p, q)] = dict(sorted(vector.items()))
     return LieAlgebra(n, table)
 
 

@@ -77,8 +77,11 @@ def _strip_content(row: dict[int, tuple[int, int]]) -> dict[int, tuple[int, int]
     coefficient size at every step on complex data; with it each row is
     the primitive multiple of its direction, whose entries are bounded
     by minors of the input.  The integer content goes first, since it is
-    the whole content of a real row and cheap to find.
+    the whole content of a real row and cheap to find.  A one-entry
+    row is the unit vector of its column.
     """
+    if len(row) == 1:
+        return {c: (1, 0) for c in row}
     g = 0
     real = True
     for a, b in row.values():
@@ -124,10 +127,8 @@ def _reduce(row, pivots) -> dict[int, tuple[int, int]]:
     ``row`` lies in the span of the pivot rows.
     """
     row = _strip_content(row)
-    while True:
-        col = min((c for c in row if c in pivots), default=None)
-        if col is None:
-            return row
+    while hits := row.keys() & pivots.keys():
+        col = min(hits)
         pivot_row = pivots[col]
         pa, pb = pivot_row[col]
         ra, rb = row[col]
@@ -147,6 +148,7 @@ def _reduce(row, pivots) -> dict[int, tuple[int, int]]:
             elif c in combo:
                 del combo[c]
         row = _strip_content(combo)
+    return row
 
 
 def _nonzero(row: dict[int, tuple[int, int]]) -> dict[int, tuple[int, int]]:
@@ -185,9 +187,11 @@ def rref(rows):
     """
     pivots = _echelon(rows)
     # right to left, so each pivot row is reduced against rows that are
-    # already reduced and gains no entries in other pivot columns
+    # already reduced and gains no entries in other pivot columns; a row
+    # with none to begin with is already reduced
     for col in sorted(pivots, reverse=True):
-        pivots[col] = _reduce(pivots.pop(col), pivots)
+        row = pivots.pop(col)
+        pivots[col] = row if pivots.keys().isdisjoint(row) else _reduce(row, pivots)
     order = sorted(pivots)
     return [_scalar_row(pivots[col], col) for col in order], order
 

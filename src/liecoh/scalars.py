@@ -137,16 +137,18 @@ def denominator(values) -> int:
 
 
 _NUM = r"\d+(?:/\d+)?"
-_RATIONAL_RE = _re.compile(rf"[+-]?{_NUM}", _re.ASCII)
+_RATIONAL_RE = _re.compile(r"([+-]?\d+)(?:/(\d+))?", _re.ASCII)
 
 
 def parse_rational(text) -> Fraction:
     """Read a rational part in the grammar of the module docstring;
     ValueError on anything else, a non-string included."""
-    if not isinstance(text, str) or _RATIONAL_RE.fullmatch(text) is None:
+    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise ValueError(f"cannot read real value {text!r}; expected a string like '-3/4'")
+    num, den = match.groups()
     try:
-        return Fraction(text)
+        return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 

@@ -38,14 +38,29 @@ def test_basis_counts_and_order():
 
 
 def test_constructor_validation():
-    with pytest.raises(DegreeOutOfRange):
-        ExteriorForm(3, -1)
-    with pytest.raises(DegreeOutOfRange):
-        ExteriorForm(3, 2, {(0,): ONE})
-    with pytest.raises(DimensionMismatch):
-        ExteriorForm(3, 2, {(0, 3): ONE})
-    with pytest.raises(DimensionMismatch):
-        ExteriorForm(3, 2, {(2, 0): ONE})
+    # each bad key is refused with its type and its message; the length
+    # is checked first, then the range, then the order
+    bad = [
+        (-1, (), DegreeOutOfRange, "degree -1 is negative"),
+        (2, (0,), DegreeOutOfRange, "key (0,) has length 1 in a degree-2 form"),
+        (1, (0, 1), DegreeOutOfRange, "key (0, 1) has length 2 in a degree-1 form"),
+        (2, (-1, 2), DimensionMismatch, "key (-1, 2) outside dimension 3"),
+        (1, (-1,), DimensionMismatch, "key (-1,) outside dimension 3"),
+        (2, (0, 3), DimensionMismatch, "key (0, 3) outside dimension 3"),
+        (1, (3,), DimensionMismatch, "key (3,) outside dimension 3"),
+        (2, (2, 0), DimensionMismatch, "key (2, 0) is not strictly increasing"),
+        (3, (0, 2, 1), DimensionMismatch, "key (0, 2, 1) is not strictly increasing"),
+        (2, (1, 1), DimensionMismatch, "key (1, 1) is not strictly increasing"),
+        (2, (3, 0), DimensionMismatch, "key (3, 0) outside dimension 3"),
+        (2, (2, -1), DimensionMismatch, "key (2, -1) outside dimension 3"),
+        # ends in range, the middle neither in range nor in order
+        (3, (0, 5, 2), DimensionMismatch, "key (0, 5, 2) outside dimension 3"),
+        (3, (0, -4, 2), DimensionMismatch, "key (0, -4, 2) outside dimension 3"),
+    ]
+    for degree, key, error, message in bad:
+        with pytest.raises(error) as raised:
+            ExteriorForm(3, degree, {key: ONE} if key else None)
+        assert type(raised.value) is error and str(raised.value) == message
     # degree above dim is the zero space, not an error
     assert ExteriorForm(2, 3).is_zero()
     # zero coefficients are purged

@@ -26,13 +26,38 @@ from liecoh.scalars import ONE, ZERO, Scalar
 from helpers import matmul, random_invertible, random_scalar
 
 
-def _random_rows(rng, nrows, ncols, density, complex_rate):
+# one-entry rows, as Gaussian integers once their denominators are
+# cleared: units and non-units, the real ones first
+_SINGLES = (
+    ONE, Scalar(Fraction(-1, 3)), Scalar(6), Scalar(Fraction(-4, 5)),
+    Scalar(0, Fraction(-1, 2)), Scalar(0, 1), Scalar(1, 1), Scalar(Fraction(3, 2), -2),
+)
+
+
+def _random_rows(rng, nrows, ncols, density, complex_rate, shape="random"):
+    """Sparse Scalar rows.  With ``shape`` "single" about half of them
+    have one entry; with "reduced" they are already in reduced echelon
+    form, apart from their scale, in shuffled order."""
+    def entry():
+        return random_scalar(rng, allow_zero=False, complex_rate=complex_rate)
+
+    if shape == "reduced":
+        pivots = sorted(rng.sample(range(ncols), min(nrows, ncols)))
+        free = [c for c in range(ncols) if c not in pivots]
+        rows = []
+        for p in pivots:
+            row = {p: entry()}
+            for c in free:
+                if c > p and rng.random() < density:
+                    row[c] = entry()
+            rows.append(row)
+        rng.shuffle(rows)
+        return rows
+    singles = _SINGLES if complex_rate else _SINGLES[:4]
     return [
-        {
-            c: random_scalar(rng, allow_zero=False, complex_rate=complex_rate)
-            for c in range(ncols)
-            if rng.random() < density
-        }
+        {rng.randrange(ncols): rng.choice(singles)}
+        if shape == "single" and ncols and rng.random() < 0.5
+        else {c: entry() for c in range(ncols) if rng.random() < density}
         for _ in range(nrows)
     ]
 
@@ -49,19 +74,25 @@ def _product_rows(rng, nrows, ncols, complex_rate):
 
 
 def _cases():
-    """(rows, ncols): empty shapes, then Q and Q(i), sparse, dense and
-    low-rank, some with a zero row or a zero column forced in."""
+    """(rows, ncols): empty shapes, then Q and Q(i), sparse, dense,
+    low-rank, mostly one-entry and already reduced, some with a zero row
+    or a zero column forced in."""
     cases = [([], 0), ([], 4), ([{}], 3), ([{}, {}], 0), ([{}, {1: ONE}, {}], 3)]
     rng = random.Random(20261018)
     for complex_rate in (0.0, 0.5):
-        for kind in ("sparse", "dense", "product"):
+        for kind in ("sparse", "dense", "product", "single", "reduced"):
             for _ in range(20):
                 nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
                 if kind == "product":
                     rows = _product_rows(rng, nrows, ncols, complex_rate)
                 else:
-                    density = 0.25 if kind == "sparse" else 0.9
-                    rows = _random_rows(rng, nrows, ncols, density, complex_rate)
+                    density, shape = {
+                        "sparse": (0.25, "random"),
+                        "dense": (0.9, "random"),
+                        "single": (0.5, "single"),
+                        "reduced": (0.5, "reduced"),
+                    }[kind]
+                    rows = _random_rows(rng, nrows, ncols, density, complex_rate, shape)
                 if rows and rng.random() < 0.3:
                     rows[rng.randrange(len(rows))] = {}
                 if ncols and rng.random() < 0.3:

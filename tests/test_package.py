@@ -3,9 +3,9 @@
 Every name a module lists in ``__all__`` exists there, so a star import
 works.  ``closed_forms`` and ``cochain`` import nothing from each other:
 the closed forms are the independent route the engine is checked
-against, and the engine takes none of them.  Only ``scalars`` and ``cli``
-import ``fractions``: the rest of the package reaches the rationals
-through ``scalars``.  Of an algebra's private state ``cochain`` reads
+against, and the engine takes none of them.  Only ``scalars`` imports
+``fractions``: the rest of the package reaches the rationals through
+it.  Of an algebra's private state ``cochain`` reads
 only the integer table, its denominator and the expansion of d.
 """
 
@@ -64,11 +64,11 @@ def test_closed_forms_and_cochain_import_nothing_from_each_other():
     assert {"linalg", "exterior", "lie_algebra"} <= _package_modules("cochain")
 
 
-def test_only_scalars_and_cli_import_fractions():
+def test_only_scalars_imports_fractions():
     # the engine works on Gaussian integers and scalars is their one edge
-    # to Scalars; cli draws seeded diamond parameters as Fractions
+    # to Scalars; cli draws its seeded diamond parameters through it too
     importers = [name for name in MODULES if "fractions" in _imported_modules(name)]
-    assert importers == ["cli", "scalars"]
+    assert importers == ["scalars"]
 
 
 def test_cochain_reads_only_the_integer_table_of_an_algebra():

@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from liecoh.scalars import (
     ONE,
     ZERO,
     Scalar,
+    parse_rational,
     parse_scalar,
     scalar_from_json,
     scalar_to_json,
@@ -163,3 +166,49 @@ def test_readers_agree_on_rational_text_random():
             continue
         outcomes = [_outcome(read, text) for read in readers]
         assert outcomes[0] == outcomes[1] == outcomes[2], (text, outcomes)
+
+
+def _stdlib_reading(text):
+    """A rational part read by the standard library's Fraction parser,
+    after the grammar of the scalars module: its value, or the text of
+    the ValueError that parse_rational raises."""
+    if not re.fullmatch(r"[+-]?\d+(?:/\d+)?", text, re.ASCII):
+        return f"cannot read real value {text!r}; expected a string like '-3/4'"
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        return f"zero denominator in {text!r}"
+    except ValueError as exc:  # a digit string over the int limit
+        return str(exc)
+
+
+def test_parse_rational_matches_the_stdlib_reader_random():
+    # the same value or the same ValueError text on a seeded corpus:
+    # signs, leading zeros, -0 and 0/q, zero denominators, text outside
+    # the grammar, and digit strings around the int conversion limit
+    limit = sys.get_int_max_str_digits()
+    corpus = [
+        "0", "-0", "+0", "0/7", "-0/7", "+0/1", "007", "-007/0010", "+5", "+05/02",
+        "5/0", "0/0", "-3/00", "+1/000", "1/", "/2", "+-1", "1.5", " 1", "1 ", "1\n",
+        "1_0", "\u0662", "1/\u0663", "", "-", "+", "1//2", "1/2/3",
+        "1" * limit, "-" + "9" * limit, "1" * (limit + 1), "+" + "0" * (limit + 1),
+        "1/" + "2" * (limit + 1), "9" * (limit + 5) + "/0", "-" + "3" * limit + "/0",
+    ]
+    alphabet = "0123456789/+-. e_\u0662"
+    rng = random.Random(4848)
+    for _ in range(3000):
+        sign = rng.choice(("", "", "-", "+"))
+        num = "0" * rng.randint(0, 2) + str(rng.randint(0, 10 ** rng.randint(0, 30)))
+        den = "" if rng.random() < 0.4 else "/" + "0" * rng.randint(0, 2) + str(rng.randint(0, 99))
+        corpus.append(sign + num + den)
+        corpus.append("".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6))))
+    for text in corpus:
+        try:
+            outcome = parse_rational(text)
+        except ValueError as exc:
+            outcome = str(exc)
+        expected = _stdlib_reading(text)
+        assert outcome == expected and type(outcome) is type(expected), text[:40]
+    for value in (None, 3, Fraction(1, 2), b"1"):
+        with pytest.raises(ValueError, match="cannot read real value"):
+            parse_rational(value)
