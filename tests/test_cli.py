@@ -384,15 +384,14 @@ def test_verify_catches_tampered_profile(capsys, tmp_path):
     doc["betti"][2] += 1
     path.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", "--input", str(path))
-    assert code == 1
-    assert out.startswith("MISMATCH")
+    assert (code, out) == (1, f"MISMATCH {path}: stored betti [1, 2, 3, 1] but recomputed [1, 2, 2, 1]\n")
     # tampering the rank vector alone is also caught
     doc = json.loads(path.read_text())
     doc["betti"][2] -= 1
     doc["ranks"][1] += 1
     path.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", "--input", str(path))
-    assert code == 1 and "ranks" in out
+    assert (code, out) == (1, f"MISMATCH {path}: stored ranks [0, 2, 0, 0] but recomputed [0, 1, 0, 0]\n")
 
 
 def test_algebra_json_input(capsys, tmp_path):
@@ -437,6 +436,8 @@ def test_error_exit_codes(capsys, tmp_path):
     assert (code, out) == (2, "") and err == "error: cannot parse scalar '\u0662'\n"
     code, out, err = run(capsys, "diamond-b2", "--lambda", "1/0")
     assert (code, out) == (2, "") and err == "error: zero denominator in scalar '1/0'\n"
+    code, out, err = run(capsys, "diamond-b2")
+    assert (code, out) == (2, "") and err == "error: diamond-b2 needs at least one --lambda\n"
     # missing family parameter
     code, _, err = run(capsys, "profile", "--family", "heisenberg")
     assert code == 2 and "--m" in err
@@ -452,6 +453,10 @@ def test_error_exit_codes(capsys, tmp_path):
     bad.write_text(json.dumps({"dim": 2, "brackets": [{"i": 0, "j": 5, "coeffs": {}}]}))
     code, _, err = run(capsys, "profile", "--input", str(bad))
     assert code == 2
+    # a coefficient index outside the basis
+    bad.write_text(json.dumps({"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"5": 1}}]}))
+    code, out, err = run(capsys, "betti", "--input", str(bad), "--degree", "1")
+    assert (code, out) == (2, "") and err == f"error: {bad}: coefficient index 5 outside 0..2\n"
     # degree out of range
     code, _, err = run(capsys, "betti", "--family", "aff", "--degree", "7")
     assert code == 2

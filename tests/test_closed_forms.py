@@ -15,7 +15,7 @@ from liecoh.closed_forms import (
     lambda_classes,
 )
 from liecoh.cochain import BettiProfile, betti, betti_profile
-from liecoh.errors import ZeroLambda
+from liecoh.errors import DegreeOutOfRange, DimensionMismatch, ZeroLambda
 from liecoh.lie_algebra import abelian, aff_r, diamond, diamond_algebra, direct_sum, heisenberg
 from liecoh.scalars import Scalar
 
@@ -37,6 +37,10 @@ def test_aff_ext_formula():
         for k in range(n + 1):
             assert betti_aff_ext(n, k) == comb(n - 1, k)
     assert betti_aff_ext(5, 5) == 0
+    with pytest.raises(DimensionMismatch, match=r"^total dimension must be >= 2, got 1$"):
+        betti_aff_ext(1, 0)
+    with pytest.raises(DegreeOutOfRange, match=r"^degree 4 outside 0\.\.3$"):
+        betti_aff_ext(3, 4)
 
 
 def test_aff_ext_matches_engine():
@@ -58,6 +62,10 @@ def test_heisenberg_formula():
             assert betti_heisenberg(m, k) == comb(2 * m, k) - upper
         for k in range(n + 1):
             assert betti_heisenberg(m, k) == betti_heisenberg(m, n - k)
+    with pytest.raises(DimensionMismatch, match=r"^need m >= 1, got 0$"):
+        betti_heisenberg(0, 0)
+    with pytest.raises(DegreeOutOfRange, match=r"^degree 4 outside 0\.\.3$"):
+        betti_heisenberg(1, 4)
 
 
 def test_heisenberg_matches_engine():
@@ -87,8 +95,6 @@ def test_heisenberg_ext_spot_values():
 
 def test_heisenberg_ext_domain():
     # the abelian part must be nonempty: n > 2m + 1
-    from liecoh.errors import DegreeOutOfRange, DimensionMismatch
-
     with pytest.raises(DimensionMismatch):
         betti_heisenberg_ext(1, 3, 0)
     with pytest.raises(DimensionMismatch):

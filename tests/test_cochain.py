@@ -49,6 +49,10 @@ def test_aff_coboundary_of_dual_basis():
     dy = apply_coboundary(g, covector(2, 1))
     assert dx.is_zero()
     assert dy.terms == {(0, 1): -ONE}
+    with pytest.raises(
+        DimensionMismatch, match=r"^form on dimension 2 against algebra of dimension 3$"
+    ):
+        apply_coboundary(heisenberg(1), covector(2, 0))
 
 
 def test_heisenberg_matrix_golden():
@@ -77,6 +81,10 @@ def test_degree_zero_and_top():
         coboundary_matrix(g, 4)
     with pytest.raises(DegreeOutOfRange):
         betti(g, -1)
+    for basis_of in (cocycle_basis, coboundary_basis):
+        for k in (-1, 4):
+            with pytest.raises(DegreeOutOfRange, match=rf"^degree {k} outside 0\.\.3$"):
+                basis_of(g, k)
 
 
 def test_antiderivation_matches_double_sum_on_families():
@@ -351,6 +359,8 @@ def test_profile_invariants_enforced():
         BettiProfile(2, (0, 2, 0))  # forces b_1 < 0
     with pytest.raises(DimensionMismatch):
         BettiProfile.from_betti(2, (1, 0))  # wrong length
+    with pytest.raises(DimensionMismatch, match=r"^profile vectors must have length n \+ 1$"):
+        BettiProfile(2, (0, 0))  # wrong length
 
 
 def test_cocycles_are_closed_and_count():

@@ -51,6 +51,8 @@ def test_bracket_vectors_bilinear():
     assert g.bracket_vectors(x, y) == [Scalar(3), ZERO, ZERO]
     assert g.bracket_vectors(y, x) == [Scalar(-3), ZERO, ZERO]
     assert g.bracket_vectors(x, x) == [ZERO, ZERO, ZERO]
+    with pytest.raises(DimensionMismatch, match=r"^vectors of length 2 and 3 in dimension 3$"):
+        g.bracket_vectors(x[:2], y)
 
 
 def test_jacobi_violation_reported():

@@ -304,6 +304,8 @@ def test_poisson_route_degree_zero():
     w = ExteriorForm(4, 0, {(): Scalar(5)})
     out = coboundary_via_poisson(structure, w)
     assert out.is_zero() and out.degree == 1
+    with pytest.raises(DimensionMismatch, match=r"^form must live on the algebra of the structure$"):
+        coboundary_via_poisson(structure, covector(3, 0))
 
 
 def test_diamond_coboundary_of_alpha_wedge_beta():
