@@ -162,6 +162,31 @@ MUTANTS = (
         ("tests/test_scalars.py::test_parse_rational_matches_the_stdlib_reader_random",),
     ),
     Mutant(
+        "apply-coboundary-d-of-dual-plus",
+        "cochain.py",
+        "{pair: -vector[l] for pair",
+        "{pair: vector[l] for pair",
+        "reference route: d(e_l*) wedged onto the contraction e_l . w",
+        ("tests/test_cochain.py::test_antiderivation_matches_double_sum_random",),
+    ),
+    Mutant(
+        "apply-coboundary-support-without-last",
+        "cochain.py",
+        "    for l in {i for key in w.terms for i in key}:",
+        "    for l in sorted({i for key in w.terms for i in key})[:-1]:",
+        "reference route: the indices l of w's monomials",
+        ("tests/test_cochain.py::test_assembly_columns_match_apply_coboundary",),
+    ),
+    Mutant(
+        "apply-coboundary-wedge-factors-swapped",
+        "cochain.py",
+        "wedge(ExteriorForm(w.dim, 2, d_l), contract_basis(w, l))",
+        "wedge(contract_basis(w, l), ExteriorForm(w.dim, 2, d_l))",
+        "reference route: d(e_l*) wedged onto the contraction e_l . w",
+        (),
+        equivalent="d(e_l*) has degree 2, so a ^ d(e_l*) = (-1)**(2 deg a) d(e_l*) ^ a",
+    ),
+    Mutant(
         "blocks-file-by-second-index",
         "cochain.py",
         "        block = block_of[pair[0]]",

@@ -329,18 +329,9 @@ def _verify_profile_doc(path: str) -> tuple[str, int]:
             raise BadInput(f"{path}: {key!r} must be a list of integers, got {doc[key]!r}")
     algebra = _algebra_from_doc(path, doc["algebra"], _middle_degree)
     profile = cochain.betti_profile(algebra)
-    stored = doc["betti"]
-    if stored != list(profile.b):
-        return (
-            f"MISMATCH {path}: stored betti {stored} but recomputed {list(profile.b)}\n",
-            1,
-        )
-    if "ranks" in doc and doc["ranks"] != list(profile.ranks):
-        return (
-            f"MISMATCH {path}: stored ranks {doc['ranks']} but recomputed "
-            f"{list(profile.ranks)}\n",
-            1,
-        )
+    for key, recomputed in (("betti", list(profile.b)), ("ranks", list(profile.ranks))):
+        if key in doc and doc[key] != recomputed:
+            return f"MISMATCH {path}: stored {key} {doc[key]} but recomputed {recomputed}\n", 1
     return f"ok: {path} matches recomputation (dim {profile.n})\n", 0
 
 

@@ -112,9 +112,15 @@ they are; Scalars appear only in the forms that come out and in the
 lexicographically numbered ``entries`` of d_k that ``export-matrix``
 prints.
 
-``apply_coboundary`` expands the antiderivation on an ``ExteriorForm``
-with Scalar arithmetic.  It shares no code with the assembly and is the
-reference route the tests check every matrix column against.
+``apply_coboundary`` takes d on an ``ExteriorForm`` with Scalar
+arithmetic as
+
+    d w = sum_l d(e_l*) ^ (e_l . w)
+
+over the indices l of w's monomials, e_l . w being the contraction, so
+the exterior algebra's sign rules are those of ``exterior.wedge`` and
+``exterior.contract_basis`` alone.  It shares no code with the assembly
+and is the reference route the tests check every matrix column against.
 """
 
 from __future__ import annotations
@@ -127,9 +133,9 @@ from math import comb
 
 from . import linalg
 from .errors import DegreeOutOfRange, DimensionMismatch
-from .exterior import ExteriorForm, basis
+from .exterior import ExteriorForm, basis, contract_basis, wedge
 from .lie_algebra import LieAlgebra, _indices
-from .scalars import ZERO, Scalar
+from .scalars import Scalar
 
 __all__ = [
     "apply_coboundary",
@@ -145,57 +151,25 @@ __all__ = [
 ]
 
 
-def _dual_differentials(algebra: LieAlgebra) -> list[dict[tuple[int, int], Scalar]]:
-    # d(e_l*) as a map (a, b) -> coefficient, one dict per basis index l
-    out: list[dict[tuple[int, int], Scalar]] = [{} for _ in range(algebra.dim)]
-    for (a, b), vector in algebra.brackets.items():
-        for l, coeff in vector.items():
-            out[l][(a, b)] = -coeff
-    return out
-
-
 def apply_coboundary(algebra: LieAlgebra, w: ExteriorForm) -> ExteriorForm:
     """The coboundary of a form, one degree up.
 
-    Expands d as an antiderivation: each index of a monomial is replaced
-    in turn by the two-form d(e_l*), with the sign (-1)**position from
-    walking d past the earlier one-forms.
+    d w = sum_l d(e_l*) ^ (e_l . w) over the indices l of w's monomials,
+    with ``exterior.wedge`` and ``exterior.contract_basis``.  Contraction
+    at position p gives the antiderivation's sign (-1)**p, and the
+    two-form d(e_l*) is even, so it moves to the front with no sign.
     """
     if w.dim != algebra.dim:
         raise DimensionMismatch(
             f"form on dimension {w.dim} against algebra of dimension {algebra.dim}"
         )
-    differentials = _dual_differentials(algebra)
-    terms: dict[tuple[int, ...], Scalar] = {}
-    for key, coeff in w.terms.items():
-        for position, l in enumerate(key):
-            replacement = differentials[l]
-            if not replacement:
-                continue
-            rest = key[:position] + key[position + 1 :]
-            rest_set = set(rest)
-            base = -coeff if position % 2 else coeff
-            for (a, b), factor in replacement.items():
-                if a in rest_set or b in rest_set:
-                    continue
-                # wedge (a, b) onto rest: parity counts how many rest
-                # indices each of a, b must jump past
-                inversions = 0
-                for r in rest:
-                    if r < a:
-                        inversions += 1
-                    if r < b:
-                        inversions += 1
-                merged = tuple(sorted(rest + (a, b)))
-                value = base * factor
-                if inversions % 2:
-                    value = -value
-                total = terms.get(merged, ZERO) + value
-                if total:
-                    terms[merged] = total
-                elif merged in terms:
-                    del terms[merged]
-    return ExteriorForm(algebra.dim, w.degree + 1, terms)
+    result = ExteriorForm.zero(w.dim, w.degree + 1)
+    for l in {i for key in w.terms for i in key}:
+        # d(e_l*) = -sum_{a<b} c^l_ab e_a* ^ e_b*
+        d_l = {pair: -vector[l] for pair, vector in algebra.brackets.items() if l in vector}
+        if d_l:
+            result = result + wedge(ExteriorForm(w.dim, 2, d_l), contract_basis(w, l))
+    return result
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,10 @@ B([x, y], z) = B(x, [y, z]).  Attached to it:
   where e . w is contraction in the first slot.
 
 The crucial identity, checked exhaustively in the tests: the coboundary
-of any form of positive degree equals -{i, .} applied to it, so the
-cochain machinery and this module compute the same differential along
-entirely different routes.
+of any form of positive degree equals -{i, .} applied to it.  The tests
+check it against two routes that share no code with ``exterior``: the
+columns of ``cochain.coboundary_matrix``, assembled from the integer
+table, and the defining double sum of the coboundary on basis tuples.
 """
 
 from __future__ import annotations

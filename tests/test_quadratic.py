@@ -7,6 +7,7 @@ from liecoh.cochain import (
     apply_coboundary,
     betti_profile,
     coboundary_basis,
+    coboundary_matrix,
     cocycle_basis,
     cohomology_representatives,
 )
@@ -28,7 +29,7 @@ from liecoh.quadratic import (
 )
 from liecoh.scalars import ONE, ZERO, Scalar
 
-from helpers import covector, matmul, random_form, random_scalar, span_row
+from helpers import covector, matmul, oracle_coboundary, random_form, random_scalar, span_row
 
 
 def _random_lambdas(rng, n, allow_complex=True):
@@ -284,9 +285,14 @@ def test_poisson_route_matches_matrix_route_exhaustive():
         g, structure = diamond(lams)
         dim = g.dim
         for k in range(dim + 1):
-            for key in basis(dim, k):
+            matrix = coboundary_matrix(g, k)
+            rows = basis(dim, k + 1) if k < dim else []
+            for c, key in enumerate(basis(dim, k)):
                 w = ExteriorForm(dim, k, {key: 1})
-                assert coboundary_via_poisson(structure, w) == apply_coboundary(g, w)
+                image = coboundary_via_poisson(structure, w)
+                assert image == apply_coboundary(g, w)
+                column = {rows[r]: v for (r, col), v in matrix.entries.items() if col == c}
+                assert image == ExteriorForm(dim, k + 1, column)
 
 
 def test_poisson_route_matches_matrix_route_random():
@@ -296,7 +302,9 @@ def test_poisson_route_matches_matrix_route_random():
         g, structure = diamond(_random_lambdas(rng, n))
         for k in range(g.dim + 1):
             w = random_form(rng, g.dim, k)
-            assert coboundary_via_poisson(structure, w) == apply_coboundary(g, w)
+            image = coboundary_via_poisson(structure, w)
+            assert image == apply_coboundary(g, w)
+            assert image == oracle_coboundary(g, w)
 
 
 def test_poisson_route_degree_zero():
@@ -304,7 +312,8 @@ def test_poisson_route_degree_zero():
     w = ExteriorForm(4, 0, {(): Scalar(5)})
     out = coboundary_via_poisson(structure, w)
     assert out.is_zero() and out.degree == 1
-    with pytest.raises(DimensionMismatch, match=r"^form must live on the algebra of the structure$"):
+    message = "^form must live on the algebra of the structure$"
+    with pytest.raises(DimensionMismatch, match=message):
         coboundary_via_poisson(structure, covector(3, 0))
 
 
