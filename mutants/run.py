@@ -77,7 +77,31 @@ MUTANTS = (
         "            table = {pair: v for pair, v in table.items() if torus.isdisjoint(pair)}\n",
         "",
         "Hochschild-Serre split: the ideal's slice of the integer table",
-        ("tests/test_cochain.py::test_split_torus_is_not_assembled",),
+        ("tests/test_cochain.py::test_reduction_follows_the_structure_it_finds",),
+    ),
+    Mutant(
+        "weight-zero-halves-same-sign",
+        "cochain.py",
+        "                weight = -sum(weights[q] for q in key)",
+        "                weight = sum(weights[q] for q in key)",
+        "weight-0 cochains: an upper subset met by lower subsets of opposite weight",
+        ("tests/test_cochain.py::test_reduction_follows_the_structure_it_finds",),
+    ),
+    Mutant(
+        "weight-zero-lower-size-one-short",
+        "cochain.py",
+        "                for i in range(top - j + 1):",
+        "                for i in range(top - j):",
+        "weight-0 cochains: lower subsets of every size up to top - j",
+        ("tests/test_acceptance.py::test_criterion_05_smallest_diamond_has_no_second_cohomology",),
+    ),
+    Mutant(
+        "representatives-columns-not-negated",
+        "cochain.py",
+        "negated = {mask: -c for c",
+        "negated = {mask: c for c",
+        "representatives: the largest columns of the exact forms, cut from d_k",
+        ("tests/test_cochain.py::test_representatives_count_and_independence",),
     ),
     Mutant(
         "expand-d-parity-without-position",

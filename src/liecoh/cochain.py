@@ -87,12 +87,15 @@ parameters is Y_0 + h_{2r+1} beside an abelian factor, with z = X_0 of
 weight 0 and V the weights +-lam_i; at k = 2, c_1 = 0 and
 b_2 = N_2(0) - 1, which is sum n_j^2 - 1 over the classes of parameters
 equal up to sign, the paper's count.  Any other n goes through the
-weight-0 complex above on its own indices, assembled from its own
-brackets when t was split off, mirrored when the whole factor is
-unimodular: then n is, and its weights sum to 0.  For b_k an
-n of dimension d is needed only in degrees k - (n - d) to min(k, d),
-since the rest of the algebra spans n - d dimensions; below them its
-vector is padded with zeros.
+weight-0 complex above on its own indices, mirrored when the whole
+factor is unimodular: then n is, and its weights sum to 0.  Its matrices
+are assembled from the whole table: for x in t, d(e_x*) = 0 since no
+bracket has a term on t, and i_x dw = L_x w - d(i_x w) = 0 for a
+weight-0 monomial w of n, so the e_x* terms of dw cancel and are
+dropped, leaving a nonzero multiple of n's own matrix, of the same
+rank.  For b_k an n of dimension d is needed only in degrees
+k - (n - d) to min(k, d), since the rest of the algebra spans n - d
+dimensions; below them its vector is padded with zeros.
 ``cohomology_representatives`` keeps the whole algebra: Kunneth
 representatives would be wedge products of the factors' forms, not the
 forms it returns.
@@ -591,7 +594,9 @@ def _split_betti(algebra: LieAlgebra, low: int, high: int) -> list[int]:
     binomials, and its n is counted or else eliminated in the degrees
     low - (n - d) to min(high, d) alone, d being its dimension.  The
     zeros that pad its vector below them leave the sums below b_low
-    wrong and unread.
+    wrong and unread.  n's weight-0 cochains w are assembled on the
+    algebra itself: for x in a split-off torus, i_x dw = L_x w -
+    d(i_x w) = 0, so the e_x* terms of dw cancel.
     """
     n = algebra.dim
     blocks, free = _blocks(algebra)
@@ -608,12 +613,7 @@ def _split_betti(algebra: LieAlgebra, low: int, high: int) -> list[int]:
             d = len(ideal)
             first = max(0, low - (n - d))
             degrees = range(first, min(high, d) + 1)
-            # d on n's weight-0 cochains has no t* term, so a split-off t
-            # is left out of the brackets d is assembled from
-            source = algebra
-            if ideal is not block:
-                source = LieAlgebra(n, {pair: algebra.brackets[pair] for pair in table})
-            part = [0] * first + _reduced_betti(source, ideal, weights, not nonzero_trace, degrees)
+            part = [0] * first + _reduced_betti(algebra, ideal, weights, not nonzero_trace, degrees)
         out = _convolve(out, part, high)
     out = _convolve(out, [comb(free, j) for j in range(min(high, free) + 1)], high)
     return out[low : high + 1]

@@ -100,22 +100,6 @@ class LieAlgebra:
         self.labels = labels
         self._check_jacobi()
 
-    def bracket_vectors(self, x, y) -> list[Scalar]:
-        """[x, y] for coefficient vectors x, y; returns a dense vector."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise DimensionMismatch(
-                f"vectors of length {len(x)} and {len(y)} in dimension {self.dim}"
-            )
-        xs = [Scalar.coerce(v) for v in x]
-        ys = [Scalar.coerce(v) for v in y]
-        out = [ZERO] * self.dim
-        for (i, j), vector in self.brackets.items():
-            factor = xs[i] * ys[j] - xs[j] * ys[i]
-            if factor:
-                for l, c in vector.items():
-                    out[l] = out[l] + factor * c
-        return out
-
     def _expand_d(self, monomials):
         """Yield D d(w) as {mask: (re, im)}, zeros dropped, for each monomial
         w given as (key, mask): its increasing indices and their bitmask."""

@@ -79,7 +79,8 @@ class Scalar:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal to an int or Fraction when real, so it hashes as one
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __neg__(self) -> "Scalar":
         return Scalar(-self.re, -self.im)
@@ -99,6 +100,11 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         return Scalar(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return Scalar(other) - self
+        return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

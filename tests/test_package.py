@@ -6,7 +6,9 @@ the closed forms are the independent route the engine is checked
 against, and the engine takes none of them.  Only ``scalars`` imports
 ``fractions``: the rest of the package reaches the rationals through
 it.  Of an algebra's private state ``cochain`` reads
-only the integer table, its denominator and the expansion of d.
+only the integer table, its denominator and the expansion of d; its
+``Scalar`` brackets only in the reference route ``apply_coboundary``,
+and it constructs no ``LieAlgebra``.
 """
 
 import ast
@@ -81,3 +83,18 @@ def test_cochain_reads_only_the_integer_table_of_an_algebra():
         if isinstance(node, ast.Attribute) and node.attr.startswith("_")
     }
     assert private == {"_table", "_denominator", "_expand_d"}
+    # the Scalar brackets feed only the reference route, and the engine
+    # builds no second algebra
+    readers = {
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and node.attr == "brackets"
+    }
+    assert readers == {"apply_coboundary"}
+    assert not [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "LieAlgebra"
+    ]

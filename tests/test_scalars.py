@@ -67,7 +67,12 @@ def test_mixed_arithmetic_with_ints_and_fractions():
     assert a * 2 == Scalar(1, 2)
     assert 2 * a == Scalar(1, 2)
     assert a - Fraction(1, 2) == Scalar(0, 1)
+    assert 1 - a == Scalar(Fraction(1, 2), -1)
+    assert 1 - Scalar(2) == Scalar(-1)
+    assert Fraction(1, 2) - Scalar(1) == Scalar(Fraction(-1, 2))
     assert I * I == -1
+    with pytest.raises(TypeError):
+        "1" - a
 
 
 def test_str_grammar():
@@ -133,6 +138,13 @@ def test_hash_consistent_with_eq():
     assert hash(Scalar(2)) == hash(Scalar(Fraction(2)))
     d = {Scalar(1, 1): "a"}
     assert d[Scalar(Fraction(1), Fraction(1))] == "a"
+    # a real Scalar equals its int or Fraction, so it hashes as one
+    assert Scalar(1) == 1 and hash(Scalar(1)) == hash(1)
+    assert hash(Scalar(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert {1: "v"}[Scalar(1)] == "v"
+    assert {Fraction(-3, 4): "v"}[Scalar(Fraction(-3, 4))] == "v"
+    assert len({Scalar(1), 1}) == 1
+    assert len({Scalar(0), 0, Fraction(0)}) == 1
 
 
 def test_bool():
